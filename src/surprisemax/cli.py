@@ -31,7 +31,7 @@ from .oracles import (
 from .simulate import SimulationConfig, estimate_expected_surprise
 from .solver import SolveResult, rollout, stationarity_residual, telescope_residual
 
-__all__ = ["main", "format_float"]
+__all__ = ["main", "format_float", "format_floats"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,6 +47,20 @@ def format_float(x: float) -> str:
     if text.endswith(".0"):
         return text[:-2]
     return text
+
+
+def format_floats(values) -> list[str]:
+    """``format_float`` of every entry of a 1-D array, in one pass.
+
+    Only whole numbers can end in ``.0``, so the suffix is looked for at
+    those entries alone.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    texts = list(map(repr, arr.tolist()))
+    for i in np.flatnonzero(arr == np.trunc(arr)).tolist():
+        if texts[i].endswith(".0"):
+            texts[i] = texts[i][:-2]
+    return texts
 
 
 class _UsageError(Exception):
@@ -100,6 +114,17 @@ def _parse_seed(value: int) -> int:
     return value
 
 
+def _bulk_floats(items) -> list[float] | None:
+    """``float`` of every item in one C-level pass, or None if any fails.
+
+    On None the caller reruns its item-by-item loop, which names the culprit.
+    """
+    try:
+        return list(map(float, items))
+    except (ValueError, TypeError, OverflowError):
+        return None
+
+
 def load_distribution(path: str) -> np.ndarray:
     """Read a schedule from a JSON array or a one-number-per-line file.
 
@@ -127,21 +152,25 @@ def load_distribution(path: str) -> np.ndarray:
             )
         if not isinstance(data, list):
             raise _ParseFailure(f"{path}: expected a JSON array of numbers")
-        values = []
-        for i, item in enumerate(data, 1):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise _ParseFailure(f"{path}: element {i} is not a number: {item!r}")
-            values.append(float(item))
+        values = _bulk_floats(data) if set(map(type, data)) <= {float, int} else None
+        if values is None:
+            values = []
+            for i, item in enumerate(data, 1):
+                if isinstance(item, bool) or not isinstance(item, (int, float)):
+                    raise _ParseFailure(f"{path}: element {i} is not a number: {item!r}")
+                values.append(float(item))
     else:
-        values = []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise _ParseFailure(f"{path}: line {lineno}: not a number: {line!r}")
+        values = _bulk_floats(filter(None, map(str.strip, text.splitlines())))
+        if values is None:
+            values = []
+            for lineno, raw in enumerate(text.splitlines(), 1):
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    values.append(float(line))
+                except ValueError:
+                    raise _ParseFailure(f"{path}: line {lineno}: not a number: {line!r}")
     try:
         return as_probability_vector(values)
     except ValueError as exc:
@@ -151,44 +180,63 @@ def load_distribution(path: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _render_solve_csv(result: SolveResult) -> str:
-    lines = ["j,gamma,hazard,p,remaining_before"]
-    for row in result.policy.rows:
-        lines.append(
-            ",".join(
-                (
-                    str(row.day),
-                    format_float(row.gamma),
-                    format_float(row.hazard),
-                    format_float(row.allocation),
-                    format_float(row.remaining_before),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+# Long columns are rendered this many entries at a time, so no full column
+# of strings is ever held at once.
+_CHUNK = 4096
 
 
-def _render_solve_json(result: SolveResult) -> str:
-    gamma = result.gamma
-    gammas = ", ".join(format_float(gamma[j]) for j in range(1, gamma.m + 1))
-    ps = ", ".join(format_float(x) for x in result.p)
-    obj = result.objective
+def _chunks(n: int):
+    return ((lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
+
+
+def _json_list(values: np.ndarray):
+    """The entries of a JSON number array, without the brackets, in pieces."""
+    sep = ""
+    for lo, hi in _chunks(values.size):
+        yield sep + ", ".join(format_floats(values[lo:hi]))
+        sep = ", "
+
+
+def _csv_field_lines(name: str, values: np.ndarray):
+    """``name_j,value`` lines of the eval CSV, ``j`` from 1."""
+    line = name + "_{},{}\n"
+    for lo, hi in _chunks(values.size):
+        yield "".join(map(line.format, range(lo + 1, hi + 1), format_floats(values[lo:hi])))
+
+
+def _json_objective(obj) -> str:
     return (
-        f'{{"m": {result.m}, '
-        f'"gamma0": {format_float(gamma[0])}, '
-        f'"gamma": [{gammas}], '
-        f'"p": [{ps}], '
         f'"objective": {{"sm1": {format_float(obj.sm1)}, '
         f'"sm2": {format_float(obj.sm2)}, '
-        f'"expected_surprise": {format_float(obj.expected_surprise)}}}, '
-        f'"value_at_root": {format_float(result.value_at_root)}}}'
+        f'"expected_surprise": {format_float(obj.expected_surprise)}}}'
     )
 
 
-def _render_solve(result: SolveResult, fmt: str) -> str:
+def _render_solve_csv(result: SolveResult):
+    policy = result.policy
+    columns = (policy.gamma, policy.hazard, policy.allocations, policy.remaining_before)
+    yield "j,gamma,hazard,p,remaining_before\n"
+    for lo, hi in _chunks(policy.m):
+        texts = [format_floats(column[lo:hi]) for column in columns]
+        yield "".join(map("{},{},{},{},{}\n".format, range(lo + 1, hi + 1), *texts))
+
+
+def _render_solve_json(result: SolveResult):
+    yield f'{{"m": {result.m}, "gamma0": {format_float(result.gamma[0])}, "gamma": ['
+    yield from _json_list(result.policy.gamma)
+    yield '], "p": ['
+    yield from _json_list(result.p)
+    yield (
+        f"], {_json_objective(result.objective)}, "
+        f'"value_at_root": {format_float(result.value_at_root)}}}\n'
+    )
+
+
+def _render_solve(result: SolveResult, fmt: str):
+    """Pieces of the ``solve`` output for one horizon, ending in a newline."""
     if fmt == "csv":
         return _render_solve_csv(result)
-    return _render_solve_json(result) + "\n"
+    return _render_solve_json(result)
 
 
 def _render_pairs(pairs: list[tuple[str, str]], fmt: str) -> str:
@@ -203,18 +251,17 @@ def _render_pairs(pairs: list[tuple[str, str]], fmt: str) -> str:
 
 def _cmd_solve(args) -> int:
     m = _parse_single_days(args.days)
-    sys.stdout.write(_render_solve(rollout(m), args.format))
+    sys.stdout.writelines(_render_solve(rollout(m), args.format))
     return EXIT_OK
 
 
 def _cmd_table(args) -> int:
     lo, hi = _parse_days_span(args.days)
-    blocks = [_render_solve(rollout(m), args.format) for m in range(lo, hi + 1)]
-    if args.format == "csv":
-        # blank line between per-horizon tables
-        sys.stdout.write("\n\n".join(block.rstrip("\n") for block in blocks) + "\n")
-    else:
-        sys.stdout.write("".join(blocks))
+    for m in range(lo, hi + 1):
+        if m > lo and args.format == "csv":
+            # blank line between per-horizon tables
+            sys.stdout.write("\n")
+        sys.stdout.writelines(_render_solve(rollout(m), args.format))
     return EXIT_OK
 
 
@@ -222,6 +269,7 @@ def _cmd_eval(args) -> int:
     v = load_distribution(args.input)
     obj = objective_values(v)
     tails = tail_masses(v)
+    out = sys.stdout
     if args.format == "csv":
         pairs = [
             ("m", str(v.size)),
@@ -229,18 +277,15 @@ def _cmd_eval(args) -> int:
             ("sm2", format_float(obj.sm2)),
             ("expected_surprise", format_float(obj.expected_surprise)),
         ]
-        pairs += [(f"p_{j + 1}", format_float(v[j])) for j in range(v.size)]
-        pairs += [(f"tail_{j + 1}", format_float(tails[j])) for j in range(v.size)]
-        sys.stdout.write(_render_pairs(pairs, "csv"))
+        out.write(_render_pairs(pairs, "csv"))
+        out.writelines(_csv_field_lines("p", v))
+        out.writelines(_csv_field_lines("tail", tails))
     else:
-        ps = ", ".join(format_float(x) for x in v)
-        ts = ", ".join(format_float(x) for x in tails)
-        sys.stdout.write(
-            f'{{"m": {v.size}, "p": [{ps}], "tail": [{ts}], '
-            f'"objective": {{"sm1": {format_float(obj.sm1)}, '
-            f'"sm2": {format_float(obj.sm2)}, '
-            f'"expected_surprise": {format_float(obj.expected_surprise)}}}}}\n'
-        )
+        out.write(f'{{"m": {v.size}, "p": [')
+        out.writelines(_json_list(v))
+        out.write('], "tail": [')
+        out.writelines(_json_list(tails))
+        out.write(f"], {_json_objective(obj)}}}\n")
     return EXIT_OK
 
 

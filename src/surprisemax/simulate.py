@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import as_probability_vector, realized_surprise
+from .objective import as_probability_vector, tail_masses
 from .rng import SplitMix64
 
 __all__ = [
@@ -82,8 +82,13 @@ def estimate_expected_surprise(p, config: SimulationConfig) -> SimulationResult:
     rng = SplitMix64(config.seed)
     u = rng.doubles(config.samples)
     idx = _day_indices(cum, u, v)
+    # realized_surprise of every day from one tails pass; zero-mass days are
+    # never drawn.  math.log, not np.log, keeps each entry bit-equal to it.
     per_day = np.array(
-        [realized_surprise(v, j + 1) if v[j] > 0.0 else 0.0 for j in range(v.size)]
+        [
+            math.log(t / q) if q > 0.0 else 0.0
+            for q, t in zip(v.tolist(), tail_masses(v).tolist())
+        ]
     )
     values = per_day[idx]
     mean = float(np.mean(values))

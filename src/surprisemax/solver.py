@@ -93,11 +93,12 @@ class GammaSequence:
 def gamma_sequence(m) -> GammaSequence:
     """The sequence ``gamma_m = 0``, ``gamma_{j-1} = gamma_j + exp(-gamma_j)``."""
     m = _check_days(m)
-    g = np.empty(m + 1, dtype=np.float64)
-    g[m] = 0.0
-    for j in range(m, 0, -1):
-        g[j - 1] = g[j] + math.exp(-g[j])
-    return GammaSequence(g)
+    values = [0.0] * (m + 1)
+    g = 0.0
+    for j in range(m - 1, -1, -1):
+        g = g + math.exp(-g)
+        values[j] = g
+    return GammaSequence(np.array(values))
 
 
 def _check_day_index(j, m: int, upper: int) -> int:
@@ -199,19 +200,49 @@ class PolicyRow:
     allocation: float
 
 
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class PolicyTable:
-    """Full schedule, one row per day, in day order."""
+    """Full schedule in day order, one read-only float64 array per column.
 
-    rows: tuple[PolicyRow, ...]
+    ``gamma[i]``, ``hazard[i]``, ``remaining_before[i]`` and
+    ``allocations[i]`` describe day ``i + 1``.
+    """
+
+    gamma: np.ndarray = field(repr=False)
+    hazard: np.ndarray = field(repr=False)
+    remaining_before: np.ndarray = field(repr=False)
+    allocations: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        for name in ("gamma", "hazard", "remaining_before", "allocations"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def m(self) -> int:
-        return len(self.rows)
+        return self.allocations.size
 
     @property
-    def allocations(self) -> np.ndarray:
-        return np.array([row.allocation for row in self.rows])
+    def rows(self) -> tuple[PolicyRow, ...]:
+        """One ``PolicyRow`` per day, built on each access."""
+        return tuple(
+            map(
+                PolicyRow,
+                range(1, self.m + 1),
+                self.gamma.tolist(),
+                self.hazard.tolist(),
+                self.remaining_before.tolist(),
+                self.allocations.tolist(),
+            )
+        )
+
+    def __repr__(self) -> str:
+        return f"PolicyTable(m={self.m})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,22 +273,17 @@ def rollout(m) -> SolveResult:
     """
     m = _check_days(m)
     gamma = gamma_sequence(m)
-    rows = []
+    day_gamma = gamma.values[1:]
+    hazard = list(map(math.exp, (-day_gamma).tolist()))
+    remaining_before = [0.0] * m
+    allocations = [0.0] * m
     remaining = 1.0
-    for j in range(1, m + 1):
-        hazard = math.exp(-gamma[j])
-        allocation = remaining * hazard
-        rows.append(
-            PolicyRow(
-                day=j,
-                gamma=gamma[j],
-                hazard=hazard,
-                remaining_before=remaining,
-                allocation=allocation,
-            )
-        )
+    # Sequential on purpose: each day's remaining mass is rounded from the last.
+    for i, h in enumerate(hazard):
+        remaining_before[i] = remaining
+        allocations[i] = allocation = remaining * h
         remaining -= allocation
-    table = PolicyTable(tuple(rows))
+    table = PolicyTable(day_gamma, hazard, remaining_before, allocations)
     return SolveResult(
         policy=table,
         gamma=gamma,
