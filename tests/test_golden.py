@@ -8,6 +8,7 @@ replay of the recursion and the rollout, rendered field by field with
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from surprisemax import PolicyRow, objective_values, rollout, tail_masses
+from surprisemax import (
+    PolicyRow,
+    SimulationConfig,
+    estimate_expected_surprise,
+    objective_values,
+    rollout,
+    tail_masses,
+)
 from surprisemax import cli
 from surprisemax.cli import format_float, format_floats, main
 
@@ -89,6 +97,30 @@ def reference_eval(values, fmt):
     ps = ", ".join(format_float(x) for x in v)
     ts = ", ".join(format_float(x) for x in tails)
     return f'{{"m": {v.size}, "p": [{ps}], "tail": [{ts}], {objective_json(obj)}}}\n'
+
+
+def render_fields(pairs, fmt):
+    if fmt == "csv":
+        return "\n".join(["field,value"] + [f"{k},{x}" for k, x in pairs]) + "\n"
+    return "{" + ", ".join(f'"{k}": {x}' for k, x in pairs) + "}\n"
+
+
+def reference_simulate(m, samples, seed, fmt):
+    g, rows = replay(m)
+    p = np.array([row[4] for row in rows])
+    sim = estimate_expected_surprise(p, SimulationConfig(samples=samples, seed=seed))
+    analytic = g[0] - 1.0
+    z_gap = (sim.mean - analytic) / sim.std_error if sim.std_error > 0.0 else 0.0
+    pairs = [
+        ("m", str(m)),
+        ("samples", str(samples)),
+        ("seed", str(seed)),
+        ("mean", format_float(sim.mean)),
+        ("std_error", format_float(sim.std_error)),
+        ("analytic", format_float(analytic)),
+        ("z_gap", format_float(z_gap)),
+    ]
+    return render_fields(pairs, fmt)
 
 
 def assert_same_lines(out, expected):
@@ -176,6 +208,85 @@ class TestEvalBytes:
         code, out, err = run_main(capsys, "eval", "--input", str(path))
         assert (code, out) == (3, "")
         assert err == f"surprisemax: error: {path}: {message}\n"
+
+
+class TestSimulateBytes:
+    @pytest.mark.parametrize("m, samples, seed", [(1, 1, 0), (3, 100, 1), (50, 1000, 7)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_simulate(self, capsys, m, samples, seed, fmt):
+        code, out, err = run_main(
+            capsys,
+            "simulate", "--days", str(m), "--samples", str(samples), "--seed", str(seed),
+            "--format", fmt,
+        )
+        assert (code, err) == (0, "")
+        assert out == reference_simulate(m, samples, seed, fmt)
+
+
+# Check labels of ``verify`` per horizon.  The gap values are not frozen:
+# np.exp and np.log may differ in the last ulp from one CPU to another.
+VERIFY_LABELS = {
+    1: ["ascent-linf", "ascent-objective", "telescope", "gradient-spread"],
+    2: ["ascent-linf", "ascent-objective", "grid-linf N=10000", "stationarity",
+        "telescope", "gradient-spread"],
+    3: ["ascent-linf", "ascent-objective", "grid-linf N=1000", "stationarity",
+        "telescope", "gradient-spread"],
+    4: ["ascent-linf", "ascent-objective", "stationarity", "telescope", "gradient-spread"],
+}
+VERIFY_LINE = re.compile(r"m=(\d+) (.+) gap=(\S+) tol=(\S+) (ok|FAIL)")
+
+
+def verify_tol(m, label, ascent_tol):
+    if label == "ascent-linf":
+        return ascent_tol
+    if label.startswith("grid-linf"):
+        return 2.0 / int(label.rpartition("=")[2])
+    return {
+        "ascent-objective": 1e-10,
+        "stationarity": 1e-12,
+        "telescope": 1e-12 * m,
+        "gradient-spread": 1e-9,
+    }[label]
+
+
+def parse_verify_lines(lines, ascent_tol):
+    """``(m, label, gap, marker)`` of each check line, tolerances asserted."""
+    checks = []
+    for line in lines:
+        match = VERIFY_LINE.fullmatch(line)
+        assert match, line
+        m, label, gap, tol, marker = match.groups()
+        m = int(m)
+        assert tol == format_float(verify_tol(m, label, ascent_tol))
+        assert gap == format_float(float(gap))
+        checks.append((m, label, float(gap), marker))
+    return checks
+
+
+class TestVerifyLines:
+    def test_pass_days_1_to_4(self, capsys):
+        code, out, err = run_main(capsys, "verify", "--days", "1..4")
+        assert (code, err) == (0, "")
+        lines = out.split("\n")
+        assert lines[-1] == ""
+        checks = parse_verify_lines(lines[:-2], 1e-6)
+        assert [(m, label) for m, label, _, _ in checks] == [
+            (m, label) for m in range(1, 5) for label in VERIFY_LABELS[m]
+        ]
+        assert all(marker == "ok" for _, _, _, marker in checks)
+        ascent_gaps = [gap for _, label, gap, _ in checks if label == "ascent-linf"]
+        assert lines[-2] == f"verify: PASS days=1..4 max_ascent_gap={format_float(max(ascent_gaps))}"
+
+    def test_impossible_tolerance_stops_at_first_failure(self, capsys):
+        code, out, err = run_main(capsys, "verify", "--days", "1..4", "--tol", "1e-30")
+        assert (code, err) == (2, "")
+        lines = out.split("\n")
+        assert lines[-1] == ""
+        checks = parse_verify_lines(lines[:-2], 1e-30)
+        assert [(m, label, marker) for m, label, _, marker in checks] == [
+            (1, label, "ok") for label in VERIFY_LABELS[1]
+        ] + [(2, "ascent-linf", "FAIL")]
+        assert lines[-2] == "verify: FAIL first failure m=2 ascent-linf"
 
 
 class TestPolicyTableArrays:
