@@ -2,88 +2,24 @@
 
 Closed-form solver, objective evaluation, independent numerical oracles,
 and a deterministic Monte Carlo sampler.  See the README for the problem
-statement and the command-line interface.
+statement and the command-line interface.  The public names are those in
+the ``__all__`` of each submodule.
 """
 
-from .objective import (
-    SIMPLEX_SUM_TOL,
-    ObjectiveValue,
-    as_probability_vector,
-    eval_sm1,
-    eval_sm2,
-    eval_sm2_batch,
-    gradient_sm2,
-    objective_values,
-    realized_surprise,
-    tail_masses,
-)
-from .oracles import (
-    GRID_POINT_CAP,
-    AscentConfig,
-    GridSpec,
-    OracleReport,
-    SearchSense,
-    ascent_optimize,
-    finite_diff_gradient,
-    grid_search,
-)
-from .rng import SplitMix64
-from .simulate import (
-    SimulationConfig,
-    SimulationResult,
-    estimate_expected_surprise,
-    sample_day,
-)
-from .solver import (
-    GammaSequence,
-    PolicyRow,
-    PolicyTable,
-    SolveResult,
-    bellman_rhs,
-    gamma_sequence,
-    policy_single,
-    rollout,
-    stationarity_residual,
-    telescope_residual,
-    value_v,
-)
+from . import objective, oracles, rng, simulate, solver
+from .objective import *
+from .oracles import *
+from .rng import *
+from .simulate import *
+from .solver import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SIMPLEX_SUM_TOL",
-    "GRID_POINT_CAP",
-    "ObjectiveValue",
-    "as_probability_vector",
-    "tail_masses",
-    "eval_sm1",
-    "eval_sm2",
-    "eval_sm2_batch",
-    "objective_values",
-    "gradient_sm2",
-    "realized_surprise",
-    "GammaSequence",
-    "PolicyRow",
-    "PolicyTable",
-    "SolveResult",
-    "gamma_sequence",
-    "policy_single",
-    "value_v",
-    "bellman_rhs",
-    "stationarity_residual",
-    "telescope_residual",
-    "rollout",
-    "SearchSense",
-    "GridSpec",
-    "AscentConfig",
-    "OracleReport",
-    "grid_search",
-    "ascent_optimize",
-    "finite_diff_gradient",
-    "SplitMix64",
-    "SimulationConfig",
-    "SimulationResult",
-    "sample_day",
-    "estimate_expected_surprise",
+    *objective.__all__,
+    *solver.__all__,
+    *oracles.__all__,
+    *rng.__all__,
+    *simulate.__all__,
     "__version__",
 ]

@@ -28,6 +28,7 @@ from .oracles import (
     grid_search,
     ascent_optimize,
 )
+from .rng import _check_seed
 from .simulate import SimulationConfig, estimate_expected_surprise
 from .solver import SolveResult, rollout, stationarity_residual, telescope_residual
 
@@ -37,8 +38,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_PARSE = 3
-
-_SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 def format_float(x: float) -> str:
@@ -109,20 +108,38 @@ def _parse_days_span(text: str) -> tuple[int, int]:
 
 
 def _parse_seed(value: int) -> int:
-    if not 0 <= value <= _SEED_MASK:
-        raise _UsageError(f"--seed {value} is not an unsigned 64-bit integer")
-    return value
-
-
-def _bulk_floats(items) -> list[float] | None:
-    """``float`` of every item in one C-level pass, or None if any fails.
-
-    On None the caller reruns its item-by-item loop, which names the culprit.
-    """
     try:
-        return list(map(float, items))
-    except (ValueError, TypeError, OverflowError):
-        return None
+        return _check_seed(value, "--seed")
+    except ValueError as exc:
+        raise _UsageError(str(exc))
+
+
+def _parse_floats(path: str, items, screened: bool, numbered, accepts, message: str):
+    """``float`` of every item in one C-level pass, tried only if ``screened``.
+
+    Otherwise, or if the pass fails, the ``(number, item)`` pairs of
+    ``numbered`` are walked, and the first item that ``accepts`` rejects or
+    ``float`` cannot convert is named by ``message``.
+    """
+    if screened:
+        try:
+            return list(map(float, items))
+        except (ValueError, TypeError, OverflowError):
+            pass
+    values = []
+    for number, item in numbered:
+        try:
+            if not accepts(item):
+                raise ValueError
+            values.append(float(item))
+        except (ValueError, OverflowError):
+            raise _ParseFailure(f"{path}: " + message.format(number, item))
+    return values
+
+
+def _is_plain_number(text: str) -> bool:
+    # ASCII without "_": float() also takes digit separators and non-ASCII digits.
+    return text.isascii() and "_" not in text
 
 
 def load_distribution(path: str) -> np.ndarray:
@@ -152,25 +169,24 @@ def load_distribution(path: str) -> np.ndarray:
             )
         if not isinstance(data, list):
             raise _ParseFailure(f"{path}: expected a JSON array of numbers")
-        values = _bulk_floats(data) if set(map(type, data)) <= {float, int} else None
-        if values is None:
-            values = []
-            for i, item in enumerate(data, 1):
-                if isinstance(item, bool) or not isinstance(item, (int, float)):
-                    raise _ParseFailure(f"{path}: element {i} is not a number: {item!r}")
-                values.append(float(item))
+        values = _parse_floats(
+            path,
+            data,
+            set(map(type, data)) <= {float, int},
+            enumerate(data, 1),
+            lambda item: type(item) in (float, int),
+            "element {} is not a number: {!r}",
+        )
     else:
-        values = _bulk_floats(filter(None, map(str.strip, text.splitlines())))
-        if values is None:
-            values = []
-            for lineno, raw in enumerate(text.splitlines(), 1):
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    values.append(float(line))
-                except ValueError:
-                    raise _ParseFailure(f"{path}: line {lineno}: not a number: {line!r}")
+        lines = list(map(str.strip, text.splitlines()))
+        values = _parse_floats(
+            path,
+            filter(None, lines),
+            _is_plain_number(text),
+            ((n, line) for n, line in enumerate(lines, 1) if line),
+            _is_plain_number,
+            "line {}: not a number: {!r}",
+        )
     try:
         return as_probability_vector(values)
     except ValueError as exc:
@@ -198,18 +214,48 @@ def _json_list(values: np.ndarray):
 
 
 def _csv_field_lines(name: str, values: np.ndarray):
-    """``name_j,value`` lines of the eval CSV, ``j`` from 1."""
+    """``name_j,value`` lines of a ``field,value`` CSV, ``j`` from 1."""
     line = name + "_{},{}\n"
     for lo, hi in _chunks(values.size):
         yield "".join(map(line.format, range(lo + 1, hi + 1), format_floats(values[lo:hi])))
 
 
-def _json_objective(obj) -> str:
-    return (
-        f'"objective": {{"sm1": {format_float(obj.sm1)}, '
-        f'"sm2": {format_float(obj.sm2)}, '
-        f'"expected_surprise": {format_float(obj.expected_surprise)}}}'
-    )
+def _render_fields(fields, fmt: str, end: str = "\n"):
+    """Pieces of a ``field,value`` CSV or of a JSON object and ``end``.
+
+    Each field is ``(key, value)``.  A value is rendered scalar text, an
+    array (``key_j,value`` lines in CSV, a list in JSON) or, in JSON only, a
+    nested field list.
+    """
+    if fmt == "csv":
+        yield "field,value\n"
+        for key, value in fields:
+            if isinstance(value, np.ndarray):
+                yield from _csv_field_lines(key, value)
+            else:
+                yield f"{key},{value}\n"
+        return
+    sep = "{"
+    for key, value in fields:
+        yield f'{sep}"{key}": '
+        if isinstance(value, np.ndarray):
+            yield "["
+            yield from _json_list(value)
+            yield "]"
+        elif isinstance(value, list):
+            yield from _render_fields(value, fmt, "")
+        else:
+            yield value
+        sep = ", "
+    yield "}" + end
+
+
+def _objective_fields(obj) -> list[tuple[str, str]]:
+    return [
+        ("sm1", format_float(obj.sm1)),
+        ("sm2", format_float(obj.sm2)),
+        ("expected_surprise", format_float(obj.expected_surprise)),
+    ]
 
 
 def _render_solve_csv(result: SolveResult):
@@ -221,71 +267,46 @@ def _render_solve_csv(result: SolveResult):
         yield "".join(map("{},{},{},{},{}\n".format, range(lo + 1, hi + 1), *texts))
 
 
-def _render_solve_json(result: SolveResult):
-    yield f'{{"m": {result.m}, "gamma0": {format_float(result.gamma[0])}, "gamma": ['
-    yield from _json_list(result.policy.gamma)
-    yield '], "p": ['
-    yield from _json_list(result.p)
-    yield (
-        f"], {_json_objective(result.objective)}, "
-        f'"value_at_root": {format_float(result.value_at_root)}}}\n'
-    )
-
-
-def _render_solve(result: SolveResult, fmt: str):
-    """Pieces of the ``solve`` output for one horizon, ending in a newline."""
-    if fmt == "csv":
-        return _render_solve_csv(result)
-    return _render_solve_json(result)
-
-
-def _render_pairs(pairs: list[tuple[str, str]], fmt: str) -> str:
-    if fmt == "csv":
-        return "\n".join(["field,value"] + [f"{k},{v}" for k, v in pairs]) + "\n"
-    body = ", ".join(f'"{k}": {v}' for k, v in pairs)
-    return "{" + body + "}\n"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_solve(args) -> int:
-    m = _parse_single_days(args.days)
-    sys.stdout.writelines(_render_solve(rollout(m), args.format))
-    return EXIT_OK
+    # One horizon is a one-value span; checked first, so spans are refused.
+    _parse_single_days(args.days)
+    return _cmd_table(args)
 
 
 def _cmd_table(args) -> int:
     lo, hi = _parse_days_span(args.days)
     for m in range(lo, hi + 1):
-        if m > lo and args.format == "csv":
-            # blank line between per-horizon tables
-            sys.stdout.write("\n")
-        sys.stdout.writelines(_render_solve(rollout(m), args.format))
+        result = rollout(m)
+        if args.format == "csv":
+            if m > lo:
+                # blank line between per-horizon tables
+                sys.stdout.write("\n")
+            sys.stdout.writelines(_render_solve_csv(result))
+        else:
+            fields = [
+                ("m", str(result.m)),
+                ("gamma0", format_float(result.gamma[0])),
+                ("gamma", result.policy.gamma),
+                ("p", result.p),
+                ("objective", _objective_fields(result.objective)),
+                ("value_at_root", format_float(result.value_at_root)),
+            ]
+            sys.stdout.writelines(_render_fields(fields, "json"))
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
     v = load_distribution(args.input)
-    obj = objective_values(v)
-    tails = tail_masses(v)
-    out = sys.stdout
+    objective = _objective_fields(objective_values(v))
+    arrays = [("p", v), ("tail", tail_masses(v))]
     if args.format == "csv":
-        pairs = [
-            ("m", str(v.size)),
-            ("sm1", format_float(obj.sm1)),
-            ("sm2", format_float(obj.sm2)),
-            ("expected_surprise", format_float(obj.expected_surprise)),
-        ]
-        out.write(_render_pairs(pairs, "csv"))
-        out.writelines(_csv_field_lines("p", v))
-        out.writelines(_csv_field_lines("tail", tails))
+        fields = [("m", str(v.size)), *objective, *arrays]
     else:
-        out.write(f'{{"m": {v.size}, "p": [')
-        out.writelines(_json_list(v))
-        out.write('], "tail": [')
-        out.writelines(_json_list(tails))
-        out.write(f"], {_json_objective(obj)}}}\n")
+        fields = [("m", str(v.size)), *arrays, ("objective", objective)]
+    sys.stdout.writelines(_render_fields(fields, args.format))
     return EXIT_OK
 
 
@@ -298,7 +319,7 @@ def _cmd_simulate(args) -> int:
     sim = estimate_expected_surprise(result.p, SimulationConfig(samples=args.samples, seed=seed))
     analytic = result.gamma[0] - 1.0
     z_gap = (sim.mean - analytic) / sim.std_error if sim.std_error > 0.0 else 0.0
-    pairs = [
+    fields = [
         ("m", str(m)),
         ("samples", str(sim.samples)),
         ("seed", str(sim.seed)),
@@ -307,7 +328,7 @@ def _cmd_simulate(args) -> int:
         ("analytic", format_float(analytic)),
         ("z_gap", format_float(z_gap)),
     ]
-    sys.stdout.write(_render_pairs(pairs, args.format))
+    sys.stdout.writelines(_render_fields(fields, args.format))
     return EXIT_OK
 
 

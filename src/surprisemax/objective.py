@@ -74,9 +74,17 @@ def as_probability_vector(values) -> np.ndarray:
     return p
 
 
+def _check_integer(value, message: str) -> int:
+    """``value`` as an ``int``; a bool or a non-integer raises ``message.format(value)``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(message.format(value))
+    return int(value)
+
+
 def _tails(p: np.ndarray) -> np.ndarray:
-    # Right-to-left accumulation: T_m = p_m exactly, T_1 = total mass.
-    return np.cumsum(p[::-1])[::-1]
+    # Right-to-left accumulation along the last axis: T_m = p_m exactly,
+    # T_1 = total mass.
+    return np.cumsum(p[..., ::-1], axis=-1)[..., ::-1]
 
 
 def tail_masses(p) -> np.ndarray:
@@ -84,24 +92,24 @@ def tail_masses(p) -> np.ndarray:
     return _tails(as_probability_vector(p))
 
 
-def _sm2_value(p: np.ndarray) -> float:
+def _sm2(p: np.ndarray):
+    """Reduced score along the last axis: a scalar for a vector, one per row."""
     # No simplex check here: the finite-difference oracle evaluates the same
     # formula just off the simplex.  Entries must still be nonnegative.
     t = _tails(p)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = p * (np.log(p) - np.log(t))
-    return float(np.sum(np.where(p > 0.0, terms, 0.0)))
+    return np.where(p > 0.0, terms, 0.0).sum(axis=-1)
 
 
 def eval_sm2(p) -> float:
     """Reduced score ``sum_j p_j * (log p_j - log T_j)``.  Always <= 0."""
-    return _sm2_value(as_probability_vector(p))
+    return float(_sm2(as_probability_vector(p)))
 
 
 def eval_sm1(p) -> float:
     """Full score, computed from the reduced one as ``sm2 + log m - 1``."""
-    v = as_probability_vector(p)
-    return _sm2_value(v) + math.log(v.size) - 1.0
+    return objective_values(p).sm1
 
 
 def eval_sm2_batch(points: np.ndarray) -> np.ndarray:
@@ -113,16 +121,13 @@ def eval_sm2_batch(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError(f"expected a two-dimensional array, got {pts.ndim} dimensions")
-    t = np.cumsum(pts[:, ::-1], axis=1)[:, ::-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = pts * (np.log(pts) - np.log(t))
-    return np.where(pts > 0.0, terms, 0.0).sum(axis=1)
+    return _sm2(pts)
 
 
 def objective_values(p) -> ObjectiveValue:
     """Bundle ``sm2``, ``sm1``, and the expected surprise ``-sm2``."""
     v = as_probability_vector(p)
-    sm2 = _sm2_value(v)
+    sm2 = float(_sm2(v))
     return ObjectiveValue(
         sm2=sm2,
         sm1=sm2 + math.log(v.size) - 1.0,

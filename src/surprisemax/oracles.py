@@ -24,12 +24,13 @@ from typing import Iterator
 import numpy as np
 
 from .objective import (
-    _sm2_value,
+    _check_integer,
+    _sm2,
     as_probability_vector,
     eval_sm2_batch,
     gradient_sm2,
 )
-from .rng import SplitMix64
+from .rng import _MASK64, SplitMix64, _check_seed
 from .solver import _check_days, rollout
 
 __all__ = [
@@ -49,8 +50,6 @@ GRID_POINT_CAP = 100_000_000
 # Rows evaluated per vectorized batch during the grid scan.
 _BATCH_ROWS = 1 << 18
 
-_SEED_MASK = 0xFFFFFFFFFFFFFFFF
-
 
 class SearchSense(Enum):
     """Which extreme of the reduced score the grid scan hunts for."""
@@ -67,9 +66,7 @@ class GridSpec:
     sense: SearchSense = SearchSense.MINIMIZE_SM2
 
     def __post_init__(self) -> None:
-        if isinstance(self.resolution, bool) or not isinstance(self.resolution, (int, np.integer)):
-            raise ValueError(f"resolution must be an integer, got {self.resolution!r}")
-        if self.resolution < 2:
+        if _check_integer(self.resolution, "resolution must be an integer, got {!r}") < 2:
             raise ValueError(f"resolution must be at least 2, got {self.resolution}")
         if not isinstance(self.sense, SearchSense):
             raise ValueError(f"sense must be a SearchSense, got {self.sense!r}")
@@ -94,8 +91,7 @@ class AscentConfig:
             raise ValueError(f"restarts must be nonnegative, got {self.restarts}")
         if not self.convergence_tol > 0.0:
             raise ValueError(f"convergence_tol must be positive, got {self.convergence_tol}")
-        if not 0 <= int(self.seed) <= _SEED_MASK:
-            raise ValueError(f"seed {self.seed} is not an unsigned 64-bit integer")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +110,23 @@ class OracleReport:
     tolerance: float
     agrees: bool
     converged: bool = True
+
+
+def _report(
+    m: int, point: np.ndarray, value: float, tolerance: float, converged: bool = True
+) -> OracleReport:
+    """Set what an oracle found against the closed-form schedule of horizon ``m``."""
+    closed = rollout(m).p
+    linf_gap = float(np.max(np.abs(point - closed)))
+    return OracleReport(
+        best_point=point,
+        best_value=value,
+        closed_form_point=closed,
+        linf_gap=linf_gap,
+        tolerance=tolerance,
+        agrees=linf_gap <= tolerance,
+        converged=converged,
+    )
 
 
 def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
@@ -170,17 +183,8 @@ def grid_search(m, spec: GridSpec, tolerance: float | None = None) -> OracleRepo
                 best_point = rows[i].copy()
 
     assert best_point is not None and best_value is not None
-    closed = rollout(m).p
-    linf_gap = float(np.max(np.abs(best_point - closed)))
     tol = 2.0 / n if tolerance is None else float(tolerance)
-    return OracleReport(
-        best_point=best_point,
-        best_value=best_value,
-        closed_form_point=closed,
-        linf_gap=linf_gap,
-        tolerance=tol,
-        agrees=linf_gap <= tol,
-    )
+    return _report(m, best_point, best_value, tol)
 
 
 def _simplex_draw(rng: SplitMix64, m: int) -> np.ndarray:
@@ -203,14 +207,14 @@ def _ascend(p0: np.ndarray, config: AscentConfig) -> tuple[np.ndarray, float, bo
     ``convergence_tol`` or more ends the run.
     """
     p = p0
-    value = -_sm2_value(p)
+    value = -float(_sm2(p))
     for _ in range(config.max_iterations):
         g = gradient_sm2(p)
         eta = config.step_size
         while True:
             weights = p * np.exp(-eta * g)
             q = weights / weights.sum()
-            candidate = -_sm2_value(q)
+            candidate = -float(_sm2(q))
             if candidate >= value or eta < 1e-18:
                 break
             eta *= 0.5
@@ -239,7 +243,7 @@ def ascent_optimize(m, config: AscentConfig | None = None, tolerance: float = 1e
 
     starts = [np.full(m, 1.0 / m)]
     for i in range(1, config.restarts + 1):
-        rng = SplitMix64((config.seed + i) & _SEED_MASK)
+        rng = SplitMix64((config.seed + i) & _MASK64)
         starts.append(_simplex_draw(rng, m))
 
     best_point: np.ndarray | None = None
@@ -251,17 +255,7 @@ def ascent_optimize(m, config: AscentConfig | None = None, tolerance: float = 1e
             best_point, best_value, best_converged = point, value, converged
 
     assert best_point is not None
-    closed = rollout(m).p
-    linf_gap = float(np.max(np.abs(best_point - closed)))
-    return OracleReport(
-        best_point=best_point,
-        best_value=-best_value,
-        closed_form_point=closed,
-        linf_gap=linf_gap,
-        tolerance=float(tolerance),
-        agrees=linf_gap <= float(tolerance),
-        converged=best_converged,
-    )
+    return _report(m, best_point, -best_value, float(tolerance), best_converged)
 
 
 def finite_diff_gradient(p, h: float = 1e-6) -> np.ndarray:
@@ -283,5 +277,5 @@ def finite_diff_gradient(p, h: float = 1e-6) -> np.ndarray:
         lower = v.copy()
         upper[j] += h
         lower[j] -= h
-        grad[j] = (_sm2_value(upper) - _sm2_value(lower)) / (2.0 * h)
+        grad[j] = (_sm2(upper) - _sm2(lower)) / (2.0 * h)
     return grad

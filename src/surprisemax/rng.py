@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .objective import _check_integer
+
 __all__ = ["SplitMix64"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -40,15 +42,21 @@ _MIX2 = 0x94D049BB133111EB
 _DOUBLE_SCALE = 2.0**-53
 
 
+def _check_seed(seed, name: str = "seed") -> int:
+    """``seed`` as an ``int``; anything but an unsigned 64-bit integer raises."""
+    message = name + " {} is not an unsigned 64-bit integer"
+    if not 0 <= _check_integer(seed, message) <= _MASK64:
+        raise ValueError(message.format(seed))
+    return int(seed)
+
+
 class SplitMix64:
     """SplitMix64 generator with scalar and vectorized output paths."""
 
     __slots__ = ("_state",)
 
     def __init__(self, seed: int) -> None:
-        if not 0 <= int(seed) <= _MASK64:
-            raise ValueError(f"seed {seed} is not an unsigned 64-bit integer")
-        self._state = int(seed)
+        self._state = _check_seed(seed)
 
     @property
     def state(self) -> int:

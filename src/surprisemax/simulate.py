@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import as_probability_vector, tail_masses
-from .rng import SplitMix64
+from .objective import _check_integer, as_probability_vector, tail_masses
+from .rng import SplitMix64, _check_seed
 
 __all__ = [
     "SimulationConfig",
@@ -23,21 +23,15 @@ __all__ = [
     "estimate_expected_surprise",
 ]
 
-_SEED_MASK = 0xFFFFFFFFFFFFFFFF
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     samples: int
     seed: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.samples, bool) or not isinstance(self.samples, (int, np.integer)):
-            raise ValueError(f"sample count must be an integer, got {self.samples!r}")
-        if self.samples < 1:
+        if _check_integer(self.samples, "sample count must be an integer, got {!r}") < 1:
             raise ValueError(f"sample count must be at least 1, got {self.samples}")
-        if not 0 <= int(self.seed) <= _SEED_MASK:
-            raise ValueError(f"seed {self.seed} is not an unsigned 64-bit integer")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

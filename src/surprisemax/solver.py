@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objective import ObjectiveValue, objective_values
+from .objective import ObjectiveValue, _check_integer, objective_values
 
 __all__ = [
     "GammaSequence",
@@ -53,9 +53,7 @@ __all__ = [
 
 
 def _check_days(m) -> int:
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise ValueError(f"number of days must be an integer, got {m!r}")
-    m = int(m)
+    m = _check_integer(m, "number of days must be an integer, got {!r}")
     if m < 1:
         raise ValueError(f"number of days must be at least 1, got {m}")
     return m
@@ -102,9 +100,7 @@ def gamma_sequence(m) -> GammaSequence:
 
 
 def _check_day_index(j, m: int, upper: int) -> int:
-    if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
-        raise ValueError(f"day index must be an integer, got {j!r}")
-    j = int(j)
+    j = _check_integer(j, "day index must be an integer, got {!r}")
     if not 1 <= j <= upper:
         raise ValueError(f"day index {j} out of range 1..{upper} for horizon {m}")
     return j
@@ -112,9 +108,20 @@ def _check_day_index(j, m: int, upper: int) -> int:
 
 def _check_remaining(r) -> float:
     r = float(r)
-    if not 0.0 <= r <= 1.0 or math.isnan(r):
+    if not 0.0 <= r <= 1.0:
         raise ValueError(f"remaining mass {r!r} out of range [0, 1]")
     return r
+
+
+def _check_step(j, r, gamma: GammaSequence) -> tuple[int, float]:
+    """Day ``j`` in ``1..m-1`` and mass ``r`` in (0, 1] for one recursion step."""
+    if gamma.m < 2:
+        raise ValueError("one-step recursion needs a horizon of at least 2 days")
+    j = _check_day_index(j, gamma.m, gamma.m - 1)
+    r = float(r)
+    if not 0.0 < r <= 1.0:
+        raise ValueError(f"remaining mass {r!r} out of range (0, 1]")
+    return j, r
 
 
 def policy_single(j, r, gamma: GammaSequence) -> float:
@@ -145,14 +152,9 @@ def bellman_rhs(j, r, x, gamma: GammaSequence) -> float:
     convention at ``x == 0``.  Needs ``1 <= j <= m-1``, ``r > 0``, and
     ``0 <= x <= r``.
     """
-    if gamma.m < 2:
-        raise ValueError("one-step recursion needs a horizon of at least 2 days")
-    j = _check_day_index(j, gamma.m, gamma.m - 1)
-    r = float(r)
-    if not 0.0 < r <= 1.0 or math.isnan(r):
-        raise ValueError(f"remaining mass {r!r} out of range (0, 1]")
+    j, r = _check_step(j, r, gamma)
     x = float(x)
-    if not 0.0 <= x <= r or math.isnan(x):
+    if not 0.0 <= x <= r:
         raise ValueError(f"allocation {x!r} out of range [0, {r!r}]")
     stage = 0.0 if x == 0.0 else x * (math.log(x) - math.log(r))
     return stage + value_v(j + 1, r - x, gamma)
@@ -166,12 +168,7 @@ def stationarity_residual(j, r, gamma: GammaSequence) -> float:
     ``x* = r * exp(-gamma_j)`` is ``log(x*/r) + gamma_j``.  Zero up to
     rounding; anything else would mean ``x*`` is not a critical point.
     """
-    if gamma.m < 2:
-        raise ValueError("one-step recursion needs a horizon of at least 2 days")
-    j = _check_day_index(j, gamma.m, gamma.m - 1)
-    r = float(r)
-    if not 0.0 < r <= 1.0 or math.isnan(r):
-        raise ValueError(f"remaining mass {r!r} out of range (0, 1]")
+    j, r = _check_step(j, r, gamma)
     x = r * math.exp(-gamma[j])
     return math.log(x / r) + gamma[j]
 

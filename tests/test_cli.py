@@ -168,6 +168,13 @@ class TestEval:
         assert code == 3
         assert "element 2" in err
 
+    def test_json_integer_beyond_float_range_named(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text("[1" + "0" * 400 + ", 0.5]")
+        code, _, err = run_main(capsys, "eval", "--input", str(path))
+        assert code == 3
+        assert "element 1" in err
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("[0.5,")

@@ -200,6 +200,9 @@ class TestEvalBytes:
             ("[0.5, true, 0.5]", "element 2 is not a number: True"),
             ("[[0.5], 0.5]", "element 1 is not a number: [0.5]"),
             ("0.5\n\n  abc \n0.5\n", "line 3: not a number: 'abc'"),
+            ("1_0e-1\n0.0\n", "line 1: not a number: '1_0e-1'"),
+            ("0.5\n\u0660.\u0665\n", "line 2: not a number: '\u0660.\u0665'"),
+            ("\uff11\n", "line 1: not a number: '\uff11'"),
         ],
     )
     def test_fallback_messages(self, tmp_path, capsys, text, message):
@@ -287,6 +290,16 @@ class TestVerifyLines:
             (1, label, "ok") for label in VERIFY_LABELS[1]
         ] + [(2, "ascent-linf", "FAIL")]
         assert lines[-2] == "verify: FAIL first failure m=2 ascent-linf"
+
+
+    def test_non_ascii_blanks_still_stripped(self, tmp_path, capsys):
+        # The ASCII screen fails on such a file; the per-line walk must
+        # still strip the blanks around each number as str.strip does.
+        path = tmp_path / "p.in"
+        path.write_text("\u00a00.5\n0.5\u2003\n", encoding="utf-8")
+        code, out, err = run_main(capsys, "eval", "--input", str(path))
+        assert (code, err) == (0, "")
+        assert out == reference_eval([0.5, 0.5], "json")
 
 
 class TestPolicyTableArrays:

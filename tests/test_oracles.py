@@ -140,6 +140,10 @@ class TestAscent:
             AscentConfig(convergence_tol=0.0)
         with pytest.raises(ValueError, match="seed"):
             AscentConfig(seed=-1)
+        with pytest.raises(ValueError, match="seed 2.7 is not an unsigned 64-bit integer"):
+            AscentConfig(seed=2.7)
+        with pytest.raises(ValueError, match="seed True is not an unsigned 64-bit integer"):
+            AscentConfig(seed=True)
 
 
 class TestFiniteDiff:

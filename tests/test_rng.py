@@ -107,7 +107,7 @@ class TestDistribution:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2.7, True])
     def test_seed_out_of_range(self, seed):
         with pytest.raises(ValueError, match="64-bit"):
             SplitMix64(seed)

@@ -131,3 +131,7 @@ class TestConfigValidation:
             SimulationConfig(samples=1, seed=-1)
         with pytest.raises(ValueError, match="64-bit"):
             SimulationConfig(samples=1, seed=2**64)
+        with pytest.raises(ValueError, match="64-bit"):
+            SimulationConfig(samples=10, seed=2.7)
+        with pytest.raises(ValueError, match="64-bit"):
+            SimulationConfig(samples=1, seed=True)
