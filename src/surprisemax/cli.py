@@ -167,6 +167,10 @@ def load_distribution(path: str) -> np.ndarray:
             raise _ParseFailure(
                 f"{path}: invalid JSON: {exc.msg} (line {exc.lineno} column {exc.colno})"
             )
+        except (ValueError, RecursionError) as exc:
+            # an integer literal longer than the interpreter converts, or
+            # arrays nested deeper than the decoder recurses
+            raise _ParseFailure(f"{path}: invalid JSON: {exc}")
         if not isinstance(data, list):
             raise _ParseFailure(f"{path}: expected a JSON array of numbers")
         values = _parse_floats(

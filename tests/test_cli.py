@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from surprisemax import eval_sm2, rollout
 from surprisemax.cli import main
@@ -174,6 +175,16 @@ class TestEval:
         code, _, err = run_main(capsys, "eval", "--input", str(path))
         assert code == 3
         assert "element 1" in err
+
+    @pytest.mark.parametrize(
+        "text", ["[1" + "0" * 5000 + ", 0.5]", "[" * 100_000 + "]" * 100_000], ids=["long", "deep"]
+    )
+    def test_json_beyond_decoder_limits(self, tmp_path, capsys, text):
+        path = tmp_path / "limits.json"
+        path.write_text(text)
+        code, _, err = run_main(capsys, "eval", "--input", str(path))
+        assert code == 3
+        assert "invalid JSON" in err
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
