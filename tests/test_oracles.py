@@ -10,6 +10,7 @@ from surprisemax import (
     AscentConfig,
     GridSpec,
     SearchSense,
+    SplitMix64,
     ascent_optimize,
     finite_diff_gradient,
     gradient_sm2,
@@ -178,3 +179,66 @@ class TestFiniteDiff:
             finite_diff_gradient([0.5, 0.5], 0.0)
         with pytest.raises(ValueError, match="outside"):
             finite_diff_gradient([0.5, 0.5], 0.5)
+
+
+def replay_tails(p):
+    return np.cumsum(p[::-1])[::-1]
+
+
+def replay_sm2(p):
+    t = replay_tails(p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p * (np.log(p) - np.log(t))
+    return np.where(p > 0.0, terms, 0.0).sum()
+
+
+def replay_ascend(p, max_iterations=100_000, step_size=0.5, convergence_tol=1e-12):
+    """The ascent loop as first written: full score and gradient per step."""
+    value = -float(replay_sm2(p))
+    for _ in range(max_iterations):
+        t = replay_tails(p)
+        g = np.log(p) + 1.0 - np.log(t) - np.cumsum(p / t)
+        eta = step_size
+        while True:
+            weights = p * np.exp(-eta * g)
+            q = weights / weights.sum()
+            candidate = -float(replay_sm2(q))
+            if candidate >= value or eta < 1e-18:
+                break
+            eta *= 0.5
+        if candidate < value:
+            return p, value, False
+        delta = float(np.max(np.abs(q - p)))
+        p, value = q, candidate
+        if delta < convergence_tol:
+            return p, value, True
+    return p, value, False
+
+
+def replay_ascent(m, seed, restarts=8):
+    """Best ``(point, value, converged)`` over the uniform and the drawn starts."""
+    starts = [np.full(m, 1.0 / m)]
+    for i in range(1, restarts + 1):
+        rng = SplitMix64((seed + i) & 0xFFFFFFFFFFFFFFFF)
+        draws = np.array([-math.log1p(-rng.next_double()) for _ in range(m)])
+        total = draws.sum()
+        starts.append(draws / total if total > 0.0 else np.full(m, 1.0 / m))
+    best = (None, -math.inf, False)
+    for start in starts:
+        point, value, converged = replay_ascend(start)
+        if value > best[1]:
+            best = (point, value, converged)
+    return best
+
+
+class TestAscentBits:
+    """The ascent oracle's endpoints, pinned to a per-step replay bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 40, 200, 1000])
+    def test_matches_replay(self, m, seed):
+        point, value, converged = replay_ascent(m, seed)
+        report = ascent_optimize(m, AscentConfig(seed=seed))
+        assert report.best_point.tobytes() == point.tobytes()
+        assert report.best_value == -value
+        assert report.converged is converged
