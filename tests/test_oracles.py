@@ -242,3 +242,20 @@ class TestAscentBits:
         assert report.best_point.tobytes() == point.tobytes()
         assert report.best_value == -value
         assert report.converged is converged
+
+
+class TestAscendValidation:
+    """Each iterate of the ascent is checked as a strictly positive schedule."""
+
+    @pytest.mark.parametrize(
+        "start, message",
+        [
+            ([0.0, 0.5, 0.5], "gradient needs every entry strictly positive"),
+            ([math.nan, 0.5, 0.5], "entries must be finite"),
+            ([0.5, 0.500001], "sum 1.0000010000000001 exceeds tolerance 1e-09"),
+        ],
+    )
+    def test_bad_start_raises(self, start, message):
+        with pytest.raises(ValueError) as excinfo:
+            oracles_mod._ascend(np.array(start), AscentConfig())
+        assert str(excinfo.value) == message
