@@ -30,7 +30,7 @@ from .oracles import (
 )
 from .rng import _check_seed
 from .simulate import SimulationConfig, estimate_expected_surprise
-from .solver import SolveResult, rollout, stationarity_residual, telescope_residual
+from .solver import SolveResult, _stationarity, _telescope_residuals, rollout
 
 __all__ = ["main", "format_float", "format_floats"]
 
@@ -145,9 +145,10 @@ def _is_plain_number(text: str) -> bool:
 def load_distribution(path: str) -> np.ndarray:
     """Read a schedule from a JSON array or a one-number-per-line file.
 
-    The format is sniffed from the first non-whitespace byte: ``[`` means
-    JSON.  ``-`` reads stdin.  Any failure raises with the offending line
-    or element named.
+    The format is sniffed from the first non-whitespace byte: ``[`` or
+    ``{`` means JSON, and JSON that is not an array is refused.  ``-``
+    reads stdin.  Any failure raises with the offending line or element
+    named.
     """
     if path == "-":
         text = sys.stdin.read()
@@ -160,7 +161,7 @@ def load_distribution(path: str) -> np.ndarray:
     stripped = text.strip()
     if not stripped:
         raise _ParseFailure(f"{path}: empty input")
-    if stripped.startswith("["):
+    if stripped.startswith(("[", "{")):
         try:
             data = json.loads(stripped)
         except json.JSONDecodeError as exc:
@@ -392,14 +393,12 @@ def _cmd_verify(args) -> int:
                 check(m, f"grid-linf N={resolution}", grid.linf_gap, grid.tolerance)
             if m >= 2:
                 residual = max(
-                    abs(stationarity_residual(j, r, result.gamma))
-                    for j in range(1, m)
+                    abs(_stationarity(gamma_j, r))
+                    for gamma_j in result.gamma.values[1:m].tolist()
                     for r in _VERIFY_MASSES
                 )
                 check(m, "stationarity", residual, _RESIDUAL_TOL)
-            residual = max(
-                abs(telescope_residual(result.gamma, k)) for k in range(1, m + 1)
-            )
+            residual = float(np.abs(_telescope_residuals(result.gamma)).max())
             check(m, "telescope", residual, _RESIDUAL_TOL * m)
             gradient = gradient_sm2(result.p)
             check(m, "gradient-spread", float(gradient.max() - gradient.min()), _SPREAD_TOL)

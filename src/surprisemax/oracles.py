@@ -24,8 +24,10 @@ from typing import Iterator
 import numpy as np
 
 from .objective import (
+    SIMPLEX_SUM_TOL,
     _check_integer,
     _sm2,
+    _tails,
     as_probability_vector,
     eval_sm2_batch,
     gradient_sm2,
@@ -191,11 +193,36 @@ def _simplex_draw(rng: SplitMix64, m: int) -> np.ndarray:
     # Normalized unit-exponential draws give a flat distribution on the
     # simplex.  -log1p(-u) keeps u == 0 harmless; an all-zero draw cannot
     # happen short of 2**-53 flukes per coordinate, but fall back anyway.
-    draws = np.array([-math.log1p(-rng.next_double()) for _ in range(m)])
+    draws = np.array([-math.log1p(-u) for u in rng.doubles(m).tolist()])
     total = draws.sum()
     if total <= 0.0:
         return np.full(m, 1.0 / m)
     return draws / total
+
+
+def _scored(q: np.ndarray):
+    """``-sm2(q)``, and the tails and logs that scored it if every entry is > 0.
+
+    Over a strictly positive ``q`` this is ``_sm2`` without its masking pass,
+    so the value has the same bits; any other ``q`` goes through ``_sm2``.
+    """
+    if q.min() > 0.0:
+        t = _tails(q)
+        log_q = np.log(q)
+        log_t = np.log(t)
+        return -float((q * (log_q - log_t)).sum()), (t, log_q, log_t)
+    return -float(_sm2(q)), None
+
+
+def _check_interior(p: np.ndarray) -> None:
+    """Raise what ``gradient_sm2(p)`` raises unless ``p`` is a strictly positive schedule.
+
+    One minimum and one sum; they fail exactly when one of the ordered checks
+    of ``gradient_sm2`` does, and those then name the fault.
+    """
+    if p.ndim == 1 and p.size and p.min() > 0.0 and abs(float(p.sum()) - 1.0) <= SIMPLEX_SUM_TOL:
+        return
+    gradient_sm2(p)
 
 
 def _ascend(p0: np.ndarray, config: AscentConfig) -> tuple[np.ndarray, float, bool]:
@@ -204,24 +231,28 @@ def _ascend(p0: np.ndarray, config: AscentConfig) -> tuple[np.ndarray, float, bo
     Update: ``p <- normalize(p * exp(-eta * g))`` with ``g`` the gradient of
     the reduced score, so the move is uphill for ``-sm2``.  The step halves
     while it would lower the objective; a step that changes no coordinate by
-    ``convergence_tol`` or more ends the run.
+    ``convergence_tol`` or more ends the run.  The gradient of each iterate
+    is built from the tails and logs that scored it, in the operation order
+    of ``gradient_sm2``, so it has the same bits.
     """
     p = p0
-    value = -float(_sm2(p))
+    value, logs = _scored(p)
     for _ in range(config.max_iterations):
-        g = gradient_sm2(p)
+        _check_interior(p)
+        t, log_p, log_t = logs
+        g = log_p + 1.0 - log_t - np.cumsum(p / t)
         eta = config.step_size
         while True:
             weights = p * np.exp(-eta * g)
             q = weights / weights.sum()
-            candidate = -float(_sm2(q))
+            candidate, q_logs = _scored(q)
             if candidate >= value or eta < 1e-18:
                 break
             eta *= 0.5
         if candidate < value:
             return p, value, False
         delta = float(np.max(np.abs(q - p)))
-        p, value = q, candidate
+        p, value, logs = q, candidate, q_logs
         if delta < config.convergence_tol:
             return p, value, True
     return p, value, False

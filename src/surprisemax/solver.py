@@ -169,8 +169,13 @@ def stationarity_residual(j, r, gamma: GammaSequence) -> float:
     rounding; anything else would mean ``x*`` is not a critical point.
     """
     j, r = _check_step(j, r, gamma)
-    x = r * math.exp(-gamma[j])
-    return math.log(x / r) + gamma[j]
+    return _stationarity(gamma[j], r)
+
+
+def _stationarity(gamma_j: float, r: float) -> float:
+    # The residual at x* = r * exp(-gamma_j), without argument checks.
+    x = r * math.exp(-gamma_j)
+    return math.log(x / r) + gamma_j
 
 
 def telescope_residual(gamma: GammaSequence, k) -> float:
@@ -178,12 +183,21 @@ def telescope_residual(gamma: GammaSequence, k) -> float:
 
     The sum on the left is the total hazard-weighted mass the policy spends
     strictly before the last day; summing the recursion steps makes it equal
-    the right side exactly in real arithmetic.  Computed by direct summation.
+    the right side exactly in real arithmetic.  Every sum is read off one
+    right-to-left cumulative sum of the hazards.
     """
+    k = _check_day_index(k, gamma.m, gamma.m)
+    return float(_telescope_residuals(gamma, k)[0])
+
+
+def _telescope_residuals(gamma: GammaSequence, k: int = 1) -> np.ndarray:
+    # Residuals for starts k..m.  The sums accumulate right to left from
+    # i = m-1, written backwards into all but the last slot, so each has the
+    # same bits whatever k is; the sum for start m is empty.
     m = gamma.m
-    k = _check_day_index(k, m, m)
-    tail = float(np.sum(np.exp(-gamma.values[k:m])))
-    return tail - (gamma[k - 1] - 1.0)
+    sums = np.zeros(m - k + 1)
+    np.cumsum(np.exp(-gamma.values[k:m])[::-1], out=sums[-2::-1])
+    return sums - (gamma.values[k - 1 : m] - 1.0)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,14 @@ import sys
 import numpy as np
 import pytest
 
-from surprisemax import eval_sm2, rollout
-from surprisemax.cli import main
+from surprisemax import (
+    eval_sm2,
+    gamma_sequence,
+    rollout,
+    stationarity_residual,
+    telescope_residual,
+)
+from surprisemax.cli import _VERIFY_MASSES, main
 
 SOLVE_KEYS = ["m", "gamma0", "gamma", "p", "objective", "value_at_root"]
 OBJECTIVE_KEYS = ["sm1", "sm2", "expected_surprise"]
@@ -193,6 +199,21 @@ class TestEval:
         assert code == 3
         assert "invalid JSON" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"a": 1}', "expected a JSON array of numbers"),
+            (' \n{"p": [0.5, 0.5]}\n', "expected a JSON array of numbers"),
+            ('{"a": ', "invalid JSON: Expecting value (line 1 column 6)"),
+        ],
+    )
+    def test_input_starting_with_brace_is_json(self, tmp_path, capsys, text, message):
+        path = tmp_path / "object.json"
+        path.write_text(text)
+        code, out, err = run_main(capsys, "eval", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"surprisemax: error: {path}: {message}\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run_main(capsys, "eval", "--input", "/nonexistent/p.json")
         assert code == 3
@@ -240,6 +261,22 @@ class TestVerify:
         assert lines[0].endswith("FAIL")
         assert lines[-1].startswith("verify: FAIL")
         assert "m=2 ascent-linf" in lines[-1]
+
+    @pytest.mark.parametrize("m", [2, 50, 2000])
+    def test_residual_gaps_are_the_public_residuals(self, capsys, m):
+        code, out, _ = run_main(capsys, "verify", "--days", str(m))
+        assert code == 0
+        gaps = {}
+        for line in out.splitlines()[:-1]:
+            label, _, rest = line.partition(" gap=")
+            gaps[label] = float(rest.partition(" ")[0])
+        g = gamma_sequence(m)
+        assert gaps[f"m={m} stationarity"] == max(
+            abs(stationarity_residual(j, r, g)) for j in range(1, m) for r in _VERIFY_MASSES
+        )
+        assert gaps[f"m={m} telescope"] == max(
+            abs(telescope_residual(g, k)) for k in range(1, m + 1)
+        )
 
     def test_bad_span(self, capsys):
         code, _, err = run_main(capsys, "verify", "--days", "0..3")

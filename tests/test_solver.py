@@ -21,6 +21,7 @@ from surprisemax import (
     telescope_residual,
     value_v,
 )
+from surprisemax import solver as solver_mod
 
 EXP_NEG1 = math.exp(-1.0)
 
@@ -256,6 +257,24 @@ class TestTelescope:
     def test_bad_start_index(self):
         with pytest.raises(ValueError, match="out of range"):
             telescope_residual(gamma_sequence(3), 0)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 300])
+    def test_all_starts_match_each_start(self, m):
+        # the sums run right to left from the last hazard, so a residual has
+        # the same bits whether it is computed alone or with all the others
+        g = gamma_sequence(m)
+        residuals = solver_mod._telescope_residuals(g)
+        assert residuals.tolist() == [telescope_residual(g, k) for k in range(1, m + 1)]
+
+    def test_linear_at_large_horizon(self):
+        # every start from one cumulative sum: O(m), so m = 1e5 is cheap
+        m = 100_000
+        g = gamma_sequence(m)
+        residuals = solver_mod._telescope_residuals(g)
+        assert residuals.shape == (m,)
+        assert float(np.max(np.abs(residuals))) <= 1e-12 * m
+        for k in (1, 2, m // 2, m - 1, m):
+            assert residuals[k - 1] == telescope_residual(g, k)
 
 
 class TestRollout:
