@@ -68,6 +68,18 @@ class TestDoubleBatch:
         batch = SplitMix64(123).doubles(1000)
         assert np.array_equal(batch, expected)
 
+    @pytest.mark.parametrize("seed", [2**64 - 1, 2**64 - 0x9E3779B97F4A7C15])
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_matches_scalar_across_state_wrap(self, seed, n):
+        # the first step (or the second) wraps the state past 2**64
+        scalar = SplitMix64(seed)
+        expected = np.array([scalar.next_double() for _ in range(n)])
+        batch_rng = SplitMix64(seed)
+        batch = batch_rng.doubles(n)
+        assert batch.dtype == np.float64
+        assert np.array_equal(batch, expected)
+        assert batch_rng.state == scalar.state
+
     def test_state_advances_like_scalar(self):
         a = SplitMix64(7)
         a.doubles(5)

@@ -14,7 +14,9 @@ from surprisemax import (
     realized_surprise,
     rollout,
     sample_day,
+    tail_masses,
 )
+from surprisemax.simulate import _day_indices
 
 
 class TestSampleDay:
@@ -135,3 +137,75 @@ class TestConfigValidation:
             SimulationConfig(samples=10, seed=2.7)
         with pytest.raises(ValueError, match="64-bit"):
             SimulationConfig(samples=1, seed=True)
+
+
+def searchsorted_days(cum, u, p):
+    """0-based day of each key: binary search plus the last-day fallback."""
+    idx = np.searchsorted(cum, u, side="right")
+    return np.where(idx >= p.size, int(np.flatnonzero(p > 0.0)[-1]), idx)
+
+
+def _tiny_plus_one(first):
+    tiny = np.full(3000, 1e-13)
+    big = [1.0 - tiny.sum()]
+    return np.concatenate([big, tiny] if first else [tiny, big])
+
+
+LOOKUP_SCHEDULES = {
+    **{f"rollout-{m}": (lambda m=m: rollout(m).p) for m in (1, 2, 3, 50, 3000)},
+    "zero-middle": lambda: np.array([0.5, 0.0, 0.5]),
+    "point-last": lambda: np.array([0.0, 0.0, 1.0]),
+    **{
+        f"dirichlet-{m}": (lambda m=m: np.random.default_rng(m).dirichlet(np.full(m, 0.05)))
+        for m in (5, 60, 1000)
+    },
+    # every cumulative edge in one bucket, at either end of [0, 1)
+    "tiny-then-big": lambda: _tiny_plus_one(first=True),
+    "big-then-tiny": lambda: _tiny_plus_one(first=False),
+    # cumulative mass ends short of 1 on a trailing zero day
+    "short-trailing-zero": lambda: np.array([0.25, 0.25, 0.5 - 1e-10, 0.0]),
+}
+
+
+def lookup_keys(cum):
+    """Bucket edges, every cumulative mass and its neighbours, both ends, random draws."""
+    buckets = 1 << (cum.size - 1).bit_length()
+    keys = np.concatenate(
+        [
+            np.arange(buckets) / buckets,
+            cum,
+            np.nextafter(cum, -np.inf),
+            np.nextafter(cum, np.inf),
+            [0.0, 1.0 - 2.0**-53],
+            SplitMix64(2024).doubles(100_000),
+        ]
+    )
+    return keys[(keys >= 0.0) & (keys < 1.0)]
+
+
+class TestDayLookup:
+    """The sampler's day lookup is the binary search, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(LOOKUP_SCHEDULES))
+    def test_matches_searchsorted(self, name):
+        p = LOOKUP_SCHEDULES[name]()
+        cum = np.cumsum(p)
+        u = lookup_keys(cum)
+        got = _day_indices(cum, u, p)
+        assert np.array_equal(got, searchsorted_days(cum, u, p))
+
+    def test_short_mass_falls_back_to_last_day_with_mass(self):
+        p = LOOKUP_SCHEDULES["short-trailing-zero"]()
+        assert _day_indices(np.cumsum(p), np.array([1.0 - 2.0**-53]), p).tolist() == [2]
+
+    @pytest.mark.parametrize("seed", [1, 2**64 - 1])
+    def test_estimate_matches_searchsorted_reference(self, seed):
+        p = rollout(3000).p
+        n = 10**6
+        cum = np.cumsum(p)
+        idx = searchsorted_days(cum, SplitMix64(seed).doubles(n), p)
+        per_day = np.array([math.log(t / q) for q, t in zip(p.tolist(), tail_masses(p).tolist())])
+        values = per_day[idx]
+        result = estimate_expected_surprise(p, SimulationConfig(samples=n, seed=seed))
+        assert result.mean == float(np.mean(values))
+        assert result.std_error == float(np.std(values, ddof=1) / math.sqrt(n))
