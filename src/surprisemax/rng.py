@@ -82,10 +82,18 @@ class SplitMix64:
         """
         if n < 0:
             raise ValueError(f"batch size {n} is negative")
-        steps = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + steps * np.uint64(_INCREMENT)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+        # In place on one uint64 work array; the float64 output doubles as
+        # the scratch array for the shifted words until the last step.
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_INCREMENT)
+        z += np.uint64(self._state)
+        out = np.empty(n)
+        shifted = out.view(np.uint64)
+        z ^= np.right_shift(z, np.uint64(30), out=shifted)
+        z *= np.uint64(_MIX1)
+        z ^= np.right_shift(z, np.uint64(27), out=shifted)
+        z *= np.uint64(_MIX2)
+        z ^= np.right_shift(z, np.uint64(31), out=shifted)
+        z >>= np.uint64(11)
         self._state = (self._state + n * _INCREMENT) & _MASK64
-        return (z >> np.uint64(11)) * _DOUBLE_SCALE
+        return np.multiply(z, _DOUBLE_SCALE, out=out)

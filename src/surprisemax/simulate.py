@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import _check_integer, as_probability_vector, tail_masses
+from .objective import _check_integer, _tails, as_probability_vector
 from .rng import SplitMix64, _check_seed
 
 __all__ = [
@@ -44,22 +44,61 @@ class SimulationResult:
     seed: int
 
 
-def _day_indices(cum: np.ndarray, u, p: np.ndarray):
-    # First index whose cumulative mass exceeds u.  A zero-probability day
-    # owns an empty interval, so it can never come out.  If accumulated
-    # rounding leaves u at or above the final cumulative mass, fall back to
-    # the last day that carries probability.
-    idx = np.searchsorted(cum, u, side="right")
-    fallback = int(np.flatnonzero(p > 0.0)[-1])
-    return np.where(idx >= p.size, fallback, idx)
+# Most cumulative masses one guide bucket may hold before its keys are
+# finished by binary search instead of by stepping.
+_GUIDE_STEPS = 8
+# Keys stepped per block, so each step's temporaries stay in cache.
+_BLOCK = 1 << 16
+
+
+def _day_indices(cum: np.ndarray, u: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # 0-based day of each key u in [0, 1): the first index whose cumulative
+    # mass exceeds u, i.e. np.searchsorted(cum, u, side="right").  A
+    # zero-probability day owns an empty interval, so it can never come out.
+    # If accumulated rounding leaves u at or above the final cumulative mass,
+    # fall back to the last day that carries probability.
+    m = cum.size
+    buckets = 1 << (m - 1).bit_length()
+    if u.size < buckets:
+        # Fewer keys than buckets: building the table costs more than it saves.
+        idx = np.searchsorted(cum, u, side="right")
+    else:
+        idx = _guide_search(cum, u, buckets)
+    idx[idx >= m] = int(np.flatnonzero(p > 0.0)[-1])
+    return idx
+
+
+def _guide_search(cum: np.ndarray, u: np.ndarray, buckets: int) -> np.ndarray:
+    # np.searchsorted(cum, u, side="right") by a guide table: [0, 1) is cut
+    # into `buckets` (a power of two) equal buckets, and guide[b] counts the
+    # masses <= b/buckets.  floor(u*buckets) is exact for a power of two, so
+    # a key in bucket b starts at guide[b] and is short of its index by at
+    # most the masses inside the bucket; each step moves it past one of them.
+    # Keys in buckets wider than _GUIDE_STEPS that are still short after the
+    # steps finish by binary search.
+    guide = np.searchsorted(cum, np.arange(buckets + 1) / buckets, side="right")
+    padded = np.append(cum, np.inf)
+    idx = np.empty(u.shape, dtype=np.intp)
+    np.multiply(u, buckets, out=idx, casting="unsafe")
+    np.take(guide, idx, out=idx, mode="clip")
+    widest = int(np.diff(guide).max())
+    steps = min(widest, _GUIDE_STEPS)
+    for start in range(0, idx.size, _BLOCK):
+        block, keys = idx[start : start + _BLOCK], u[start : start + _BLOCK]
+        for _ in range(steps):
+            block += np.take(padded, block, mode="clip") <= keys
+    if widest > _GUIDE_STEPS:
+        rest = np.flatnonzero(np.take(padded, idx, mode="clip") <= u)
+        idx[rest] = np.searchsorted(cum, u[rest], side="right")
+    return idx
 
 
 def sample_day(p, rng: SplitMix64) -> int:
     """Draw one event day (1-based) from the schedule by inverse CDF."""
     v = as_probability_vector(p)
     cum = np.cumsum(v)
-    u = rng.next_double()
-    return int(_day_indices(cum, u, v)) + 1
+    u = np.array([rng.next_double()])
+    return int(_day_indices(cum, u, v)[0]) + 1
 
 
 def estimate_expected_surprise(p, config: SimulationConfig) -> SimulationResult:
@@ -73,18 +112,17 @@ def estimate_expected_surprise(p, config: SimulationConfig) -> SimulationResult:
     """
     v = as_probability_vector(p)
     cum = np.cumsum(v)
-    rng = SplitMix64(config.seed)
-    u = rng.doubles(config.samples)
-    idx = _day_indices(cum, u, v)
+    idx = _day_indices(cum, SplitMix64(config.seed).doubles(config.samples), v)
     # realized_surprise of every day from one tails pass; zero-mass days are
     # never drawn.  math.log, not np.log, keeps each entry bit-equal to it.
     per_day = np.array(
         [
             math.log(t / q) if q > 0.0 else 0.0
-            for q, t in zip(v.tolist(), tail_masses(v).tolist())
+            for q, t in zip(v.tolist(), _tails(v).tolist())
         ]
     )
     values = per_day[idx]
+    del idx  # free the indices before np.std allocates its deviations
     mean = float(np.mean(values))
     if config.samples > 1:
         std_error = float(np.std(values, ddof=1) / math.sqrt(config.samples))
