@@ -156,7 +156,8 @@ def realized_surprise(p, day: int) -> float:
     """
     v = as_probability_vector(p)
     m = v.size
-    if not 1 <= int(day) <= m:
+    day = _check_integer(day, "day must be an integer, got {!r}")
+    if not 1 <= day <= m:
         raise ValueError(f"day {day} out of range 1..{m}")
     pj = float(v[day - 1])
     if pj <= 0.0:

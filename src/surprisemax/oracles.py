@@ -85,11 +85,11 @@ class AscentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
+        if _check_integer(self.max_iterations, "max_iterations must be an integer, got {!r}") < 1:
             raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
         if not self.step_size > 0.0:
             raise ValueError(f"step_size must be positive, got {self.step_size}")
-        if self.restarts < 0:
+        if _check_integer(self.restarts, "restarts must be an integer, got {!r}") < 0:
             raise ValueError(f"restarts must be nonnegative, got {self.restarts}")
         if not self.convergence_tol > 0.0:
             raise ValueError(f"convergence_tol must be positive, got {self.convergence_tol}")

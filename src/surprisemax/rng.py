@@ -80,6 +80,7 @@ class SplitMix64:
         computed in closed form and then the state is advanced by ``n``
         steps.  Bit-identical to ``n`` scalar calls.
         """
+        n = _check_integer(n, "batch size must be an integer, got {!r}")
         if n < 0:
             raise ValueError(f"batch size {n} is negative")
         # In place on one uint64 work array; the float64 output doubles as

@@ -303,7 +303,7 @@ class TestVerifyLines:
 
 
 class TestPolicyTableArrays:
-    @pytest.mark.parametrize("m", [1, 2, 3, 50, 1000])
+    @pytest.mark.parametrize("m", [1, 2, 3, 50, 1000, 4097, 200_000])
     def test_bit_equal_to_scalar_replay(self, m):
         g, rows = replay(m)
         policy = rollout(m).policy

@@ -252,6 +252,14 @@ class TestRealizedSurprise:
         with pytest.raises(ValueError, match="out of range"):
             realized_surprise([0.5, 0.5], 0)
 
+    @pytest.mark.parametrize("day", [1.5, 1.0, True, "1"])
+    def test_day_not_an_integer(self, day):
+        with pytest.raises(ValueError, match="day must be an integer"):
+            realized_surprise([0.5, 0.5], day)
+
+    def test_numpy_integer_day(self):
+        assert realized_surprise([0.5, 0.5], np.int64(1)) == realized_surprise([0.5, 0.5], 1)
+
     def test_zero_probability_day(self):
         with pytest.raises(ValueError, match="zero probability"):
             realized_surprise([0.5, 0.0, 0.5], 2)

@@ -145,6 +145,16 @@ class TestAscent:
             AscentConfig(seed=2.7)
         with pytest.raises(ValueError, match="seed True is not an unsigned 64-bit integer"):
             AscentConfig(seed=True)
+        with pytest.raises(ValueError, match="max_iterations must be an integer, got 2.5"):
+            AscentConfig(max_iterations=2.5)
+        with pytest.raises(ValueError, match="max_iterations must be an integer, got True"):
+            AscentConfig(max_iterations=True)
+        with pytest.raises(ValueError, match="restarts must be an integer, got 2.5"):
+            AscentConfig(restarts=2.5)
+        with pytest.raises(ValueError, match="restarts must be an integer, got True"):
+            AscentConfig(restarts=True)
+        config = AscentConfig(max_iterations=np.int64(3), restarts=np.int64(1))
+        assert ascent_optimize(2, config).best_point.size == 2
 
 
 class TestFiniteDiff:

@@ -94,6 +94,16 @@ class TestDoubleBatch:
         assert rng.doubles(0).size == 0
         assert rng.state == before
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2"])
+    def test_batch_size_not_an_integer(self, n):
+        rng = SplitMix64(3)
+        with pytest.raises(ValueError, match="batch size must be an integer"):
+            rng.doubles(n)
+        assert rng.state == 3
+
+    def test_numpy_integer_batch_size(self):
+        assert np.array_equal(SplitMix64(3).doubles(np.int64(4)), SplitMix64(3).doubles(4))
+
     def test_split_batches_match_one_batch(self):
         one = SplitMix64(99).doubles(100)
         rng = SplitMix64(99)

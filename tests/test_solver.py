@@ -6,6 +6,7 @@ exact ones, telescoping) need no reference values at all.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,13 @@ class TestGammaSequence:
 
     def test_deterministic(self):
         assert np.array_equal(gamma_sequence(64).values, gamma_sequence(64).values)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 50, 4999])
+    def test_shift_invariant(self, m):
+        # gamma_j depends only on m - j, so a shorter horizon is a suffix
+        horizon = 5000
+        suffix = gamma_sequence(horizon).values[horizon - m :]
+        assert gamma_sequence(m).values.tobytes() == suffix.tobytes()
 
     def test_read_only(self):
         g = gamma_sequence(5)
@@ -326,3 +334,15 @@ class TestRollout:
     def test_bad_horizon(self):
         with pytest.raises(ValueError, match="at least 1"):
             rollout(0)
+
+    def test_memory_per_day(self):
+        # the columns are float64 arrays, not lists of Python floats
+        m = 200_000
+        rollout(10)
+        tracemalloc.start()
+        try:
+            rollout(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * m
