@@ -14,20 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from .objective import as_probability_vector, gradient_sm2, objective_values, tail_masses
-from .oracles import (
-    GRID_POINT_CAP,
-    AscentConfig,
-    GridSpec,
-    SearchSense,
-    grid_search,
-    ascent_optimize,
-)
+from .oracles import AscentConfig, GridSpec, grid_search, ascent_optimize
 from .rng import _check_seed
 from .simulate import SimulationConfig, estimate_expected_surprise
 from .solver import SolveResult, _stationarity, _telescope_residuals, rollout
@@ -112,6 +104,14 @@ def _parse_seed(value: int) -> int:
         return _check_seed(value, "--seed")
     except ValueError as exc:
         raise _UsageError(str(exc))
+
+
+def _checked(flag: str, make, *args):
+    """``make(*args)``, its ``ValueError`` reported as a usage error naming ``flag``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise _UsageError(f"{flag}: {exc}")
 
 
 def _parse_floats(path: str, items, screened: bool, numbered, accepts, message: str):
@@ -317,11 +317,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_simulate(args) -> int:
     m = _parse_single_days(args.days)
-    if args.samples < 1:
-        raise _UsageError(f"--samples must be at least 1, got {args.samples}")
-    seed = _parse_seed(args.seed)
+    config = _checked("--samples", SimulationConfig, args.samples, _parse_seed(args.seed))
     result = rollout(m)
-    sim = estimate_expected_surprise(result.p, SimulationConfig(samples=args.samples, seed=seed))
+    sim = estimate_expected_surprise(result.p, config)
     analytic = result.gamma[0] - 1.0
     z_gap = (sim.mean - analytic) / sim.std_error if sim.std_error > 0.0 else 0.0
     fields = [
@@ -337,13 +335,6 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-class _VerifyFailed(Exception):
-    def __init__(self, m: int, label: str):
-        super().__init__(f"m={m} {label}")
-        self.m = m
-        self.label = label
-
-
 # residuals are checked at these remaining-mass levels
 _VERIFY_MASSES = (0.1, 0.5, 1.0)
 _OBJECTIVE_TOL = 1e-10
@@ -351,67 +342,60 @@ _RESIDUAL_TOL = 1e-12
 _SPREAD_TOL = 1e-9
 
 
+def _verify_checks(m: int, seed: int, tol: float, grid: GridSpec | None):
+    """``(label, gap, tol)`` of each check of horizon ``m``, computed as it is reached.
+
+    ``grid``, if given, replaces the default grid of the scan at ``m = 2..3``.
+    """
+    result = rollout(m)
+    report = ascent_optimize(m, AscentConfig(seed=seed), tolerance=tol)
+    yield "ascent-linf", report.linf_gap, tol
+    yield "ascent-objective", abs(report.best_value - result.value_at_root), _OBJECTIVE_TOL
+    if 2 <= m <= 3:
+        spec = grid or GridSpec(10_000 if m == 2 else 1_000)
+        found = _checked("--grid", grid_search, m, spec)
+        yield f"grid-linf N={spec.resolution}", found.linf_gap, found.tolerance
+    if m >= 2:
+        residual = max(
+            abs(_stationarity(gamma_j, r))
+            for gamma_j in result.gamma.values[1:m].tolist()
+            for r in _VERIFY_MASSES
+        )
+        yield "stationarity", residual, _RESIDUAL_TOL
+    yield "telescope", float(np.abs(_telescope_residuals(result.gamma)).max()), _RESIDUAL_TOL * m
+    gradient = gradient_sm2(result.p)
+    yield "gradient-spread", float(gradient.max() - gradient.min()), _SPREAD_TOL
+
+
 def _cmd_verify(args) -> int:
     lo, hi = _parse_days_span(args.days)
     seed = _parse_seed(args.seed)
     if not args.tol > 0.0:
         raise _UsageError(f"--tol must be positive, got {args.tol}")
+    grid = None if args.grid is None else _checked("--grid", GridSpec, args.grid)
 
     lines: list[str] = []
     max_ascent_gap = 0.0
-
-    def check(m: int, label: str, value: float, tol: float) -> None:
-        ok = value <= tol
+    checks = (
+        (m, check) for m in range(lo, hi + 1) for check in _verify_checks(m, seed, args.tol, grid)
+    )
+    for m, (label, gap, tol) in checks:
+        ok = gap <= tol
         lines.append(
-            f"m={m} {label} gap={format_float(value)} tol={format_float(tol)} "
+            f"m={m} {label} gap={format_float(gap)} tol={format_float(tol)} "
             + ("ok" if ok else "FAIL")
         )
         if not ok:
-            raise _VerifyFailed(m, label)
-
-    try:
-        for m in range(lo, hi + 1):
-            result = rollout(m)
-            report = ascent_optimize(m, AscentConfig(seed=seed), tolerance=args.tol)
-            max_ascent_gap = max(max_ascent_gap, report.linf_gap)
-            check(m, "ascent-linf", report.linf_gap, args.tol)
-            check(
-                m,
-                "ascent-objective",
-                abs(report.best_value - result.value_at_root),
-                _OBJECTIVE_TOL,
-            )
-            if 2 <= m <= 3:
-                resolution = args.grid if args.grid is not None else (10_000 if m == 2 else 1_000)
-                if resolution < 2:
-                    raise _UsageError(f"--grid must be at least 2, got {resolution}")
-                if math.comb(resolution + m - 1, m - 1) > GRID_POINT_CAP:
-                    raise _UsageError(
-                        f"--grid {resolution} makes more than {GRID_POINT_CAP} points for m={m}"
-                    )
-                grid = grid_search(m, GridSpec(resolution, SearchSense.MINIMIZE_SM2))
-                check(m, f"grid-linf N={resolution}", grid.linf_gap, grid.tolerance)
-            if m >= 2:
-                residual = max(
-                    abs(_stationarity(gamma_j, r))
-                    for gamma_j in result.gamma.values[1:m].tolist()
-                    for r in _VERIFY_MASSES
-                )
-                check(m, "stationarity", residual, _RESIDUAL_TOL)
-            residual = float(np.abs(_telescope_residuals(result.gamma)).max())
-            check(m, "telescope", residual, _RESIDUAL_TOL * m)
-            gradient = gradient_sm2(result.p)
-            check(m, "gradient-spread", float(gradient.max() - gradient.min()), _SPREAD_TOL)
-    except _VerifyFailed as failure:
-        lines.append(f"verify: FAIL first failure m={failure.m} {failure.label}")
-        sys.stdout.write("\n".join(lines) + "\n")
-        return EXIT_VERIFY
-
-    lines.append(
-        f"verify: PASS days={lo}..{hi} max_ascent_gap={format_float(max_ascent_gap)}"
-    )
+            lines.append(f"verify: FAIL first failure m={m} {label}")
+            break
+        if label == "ascent-linf":
+            max_ascent_gap = max(max_ascent_gap, gap)
+    else:
+        lines.append(
+            f"verify: PASS days={lo}..{hi} max_ascent_gap={format_float(max_ascent_gap)}"
+        )
     sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from typing import Iterator
 import numpy as np
 
 from .objective import (
-    SIMPLEX_SUM_TOL,
     _check_integer,
     _sm2,
     _tails,
@@ -134,8 +133,9 @@ def _report(
 def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
     """Lattice points ``(k_1 .. k_parts)`` summing to ``total``, in blocks.
 
-    Blocks arrive in lexicographic row order: all rows of one block precede
-    all rows of the next, and rows inside a block ascend in ``k_{parts-1}``.
+    Blocks hold at most ``_BATCH_ROWS`` rows and arrive in lexicographic row
+    order: all rows of one block precede all rows of the next, and rows
+    inside a block ascend in ``k_{parts-1}``.
     """
     if parts == 1:
         yield np.array([[float(total)]])
@@ -150,12 +150,13 @@ def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
                 yield (first,) + rest, left
 
     for prefix, left in prefixes(total, parts - 2):
-        tail = np.arange(left + 1, dtype=np.float64)
-        block = np.empty((left + 1, parts))
-        block[:, : parts - 2] = prefix
-        block[:, parts - 2] = tail
-        block[:, parts - 1] = left - tail
-        yield block
+        for start in range(0, left + 1, _BATCH_ROWS):
+            tail = np.arange(start, min(start + _BATCH_ROWS, left + 1), dtype=np.float64)
+            block = np.empty((tail.size, parts))
+            block[:, : parts - 2] = prefix
+            block[:, parts - 2] = tail
+            block[:, parts - 1] = left - tail
+            yield block
 
 
 def grid_search(m, spec: GridSpec, tolerance: float | None = None) -> OracleReport:
@@ -175,14 +176,13 @@ def grid_search(m, spec: GridSpec, tolerance: float | None = None) -> OracleRepo
     best_value: float | None = None
     best_point: np.ndarray | None = None
     for block in _compositions(n, m):
-        for start in range(0, block.shape[0], _BATCH_ROWS):
-            rows = block[start : start + _BATCH_ROWS] / n
-            values = eval_sm2_batch(rows)
-            i = int(np.argmin(values) if minimize else np.argmax(values))
-            v = float(values[i])
-            if best_value is None or (v < best_value if minimize else v > best_value):
-                best_value = v
-                best_point = rows[i].copy()
+        rows = block / n
+        values = eval_sm2_batch(rows)
+        i = int(np.argmin(values) if minimize else np.argmax(values))
+        v = float(values[i])
+        if best_value is None or (v < best_value if minimize else v > best_value):
+            best_value = v
+            best_point = rows[i].copy()
 
     assert best_point is not None and best_value is not None
     tol = 2.0 / n if tolerance is None else float(tolerance)
@@ -214,17 +214,6 @@ def _scored(q: np.ndarray):
     return -float(_sm2(q)), None
 
 
-def _check_interior(p: np.ndarray) -> None:
-    """Raise what ``gradient_sm2(p)`` raises unless ``p`` is a strictly positive schedule.
-
-    One minimum and one sum; they fail exactly when one of the ordered checks
-    of ``gradient_sm2`` does, and those then name the fault.
-    """
-    if p.ndim == 1 and p.size and p.min() > 0.0 and abs(float(p.sum()) - 1.0) <= SIMPLEX_SUM_TOL:
-        return
-    gradient_sm2(p)
-
-
 def _ascend(p0: np.ndarray, config: AscentConfig) -> tuple[np.ndarray, float, bool]:
     """Run one multiplicative-weights ascent of expected surprise.
 
@@ -233,12 +222,17 @@ def _ascend(p0: np.ndarray, config: AscentConfig) -> tuple[np.ndarray, float, bo
     while it would lower the objective; a step that changes no coordinate by
     ``convergence_tol`` or more ends the run.  The gradient of each iterate
     is built from the tails and logs that scored it, in the operation order
-    of ``gradient_sm2``, so it has the same bits.
+    of ``gradient_sm2``, so it has the same bits.  ``gradient_sm2`` checks
+    the start, and any iterate that ``_scored`` kept no logs for: one with a
+    zero or NaN entry, which it then names.  Every other iterate is strictly
+    positive and normalized by construction.
     """
+    gradient_sm2(p0)
     p = p0
     value, logs = _scored(p)
     for _ in range(config.max_iterations):
-        _check_interior(p)
+        if logs is None:
+            gradient_sm2(p)
         t, log_p, log_t = logs
         g = log_p + 1.0 - log_t - np.cumsum(p / t)
         eta = config.step_size

@@ -65,20 +65,24 @@ def _check_days(m) -> int:
     return m
 
 
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class GammaSequence:
     """Hazard exponents ``gamma_0 .. gamma_m`` for a fixed horizon.
 
-    ``values[j]`` is ``gamma_j``; the array is read-only and strictly
+    ``values[j]`` is ``gamma_j``; the array is a read-only copy, strictly
     decreasing, with ``values[m] == 0`` and ``values[m-1] == 1`` exactly.
     """
 
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen(self.values))
 
     @property
     def m(self) -> int:
@@ -220,12 +224,6 @@ class PolicyRow:
     hazard: float
     remaining_before: float
     allocation: float
-
-
-def _frozen(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)

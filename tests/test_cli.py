@@ -288,6 +288,31 @@ class TestVerify:
         assert code == 1
         assert "--tol" in err
 
+    @pytest.mark.parametrize(
+        "days, grid",
+        [
+            ("2..2", "1"),
+            # (20001 * 20002) / 2 = 200,030,001 points at m = 3, over the cap
+            ("3..3", "20000"),
+            # the grid does not apply at m = 5..6, but is still checked
+            ("5..6", "1"),
+        ],
+    )
+    def test_bad_grid_is_usage_error(self, capsys, days, grid):
+        code, out, err = run_main(capsys, "verify", "--days", days, "--grid", grid)
+        assert code == 1
+        assert out == ""
+        assert "--grid" in err
+
+    def test_bad_grid_refused_before_first_horizon(self, capsys, monkeypatch):
+        import surprisemax.cli as cli
+
+        horizons = []
+        monkeypatch.setattr(cli, "rollout", lambda m: horizons.append(m) or rollout(m))
+        code, out, err = run_main(capsys, "verify", "--days", "1..3", "--grid", "1")
+        assert (code, out, horizons) == (1, "", [])
+        assert "--grid" in err
+
 
 class TestSimulate:
     def test_single_day_exact(self, capsys):

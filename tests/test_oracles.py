@@ -1,6 +1,8 @@
 """Grid search, multiplicative-weights ascent, and finite differences."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +40,40 @@ class TestCompositionEnumeration:
     def test_two_parts(self):
         rows = np.concatenate(list(oracles_mod._compositions(3, 2)))
         assert rows.tolist() == [[0, 3], [1, 2], [2, 1], [3, 0]]
+
+
+class TestBoundedLattice:
+    """The scan holds at most ``_BATCH_ROWS`` lattice rows at a time."""
+
+    @pytest.mark.parametrize("total, parts", [(20, 1), (20, 2), (20, 3), (9, 4)])
+    def test_small_blocks_concatenate_to_lex_order(self, monkeypatch, total, parts):
+        monkeypatch.setattr(oracles_mod, "_BATCH_ROWS", 7)
+        blocks = list(oracles_mod._compositions(total, parts))
+        assert all(block.shape[0] <= 7 for block in blocks)
+        expected = [
+            k for k in itertools.product(range(total + 1), repeat=parts) if sum(k) == total
+        ]
+        assert np.concatenate(blocks).tolist() == [list(map(float, k)) for k in expected]
+
+    @pytest.mark.parametrize("sense", list(SearchSense))
+    def test_block_size_does_not_change_the_result(self, monkeypatch, sense):
+        spec = GridSpec(60, sense)
+        default = grid_search(3, spec)
+        monkeypatch.setattr(oracles_mod, "_BATCH_ROWS", 7)
+        small = grid_search(3, spec)
+        assert small.best_point.tobytes() == default.best_point.tobytes()
+        assert small.best_value == default.best_value
+
+    def test_memory_bounded_in_resolution(self):
+        # one (N+1) x 2 block would need 69 MB at N = 2e6
+        grid_search(2, GridSpec(100))
+        tracemalloc.start()
+        try:
+            grid_search(2, GridSpec(2_000_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestGridSearch:

@@ -73,6 +73,15 @@ class TestGammaSequence:
     def test_deterministic(self):
         assert np.array_equal(gamma_sequence(64).values, gamma_sequence(64).values)
 
+    def test_freezes_a_copy(self):
+        # the caller's array stays writable, and writing to it leaves the
+        # sequence as it was built
+        v = np.array([2.0, 1.0, 0.0])
+        g = solver_mod.GammaSequence(v)
+        v[0] = 5.0
+        assert g.values.tolist() == [2.0, 1.0, 0.0]
+        assert not g.values.flags.writeable
+
     @pytest.mark.parametrize("m", [1, 2, 3, 50, 4999])
     def test_shift_invariant(self, m):
         # gamma_j depends only on m - j, so a shorter horizon is a suffix
