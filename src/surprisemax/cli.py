@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .objective import as_probability_vector, gradient_sm2, objective_values, tail_masses
-from .oracles import AscentConfig, GridSpec, grid_search, ascent_optimize
+from .oracles import AscentConfig, GridSpec, _check_grid_points, grid_search, ascent_optimize
 from .rng import _check_seed
 from .simulate import SimulationConfig, estimate_expected_surprise
 from .solver import SolveResult, _stationarity, _telescope_residuals, rollout
@@ -340,27 +340,27 @@ _VERIFY_MASSES = (0.1, 0.5, 1.0)
 _OBJECTIVE_TOL = 1e-10
 _RESIDUAL_TOL = 1e-12
 _SPREAD_TOL = 1e-9
+# the horizons the grid scan runs at, with their default resolutions
+_GRID_RESOLUTIONS = {2: 10_000, 3: 1_000}
 
 
 def _verify_checks(m: int, seed: int, tol: float, grid: GridSpec | None):
     """``(label, gap, tol)`` of each check of horizon ``m``, computed as it is reached.
 
-    ``grid``, if given, replaces the default grid of the scan at ``m = 2..3``.
+    ``grid``, if given, replaces the default grid of the scan.  Horizon
+    ``m`` is rolled out once, and the oracles are handed its schedule.
     """
     result = rollout(m)
-    report = ascent_optimize(m, AscentConfig(seed=seed), tolerance=tol)
+    report = ascent_optimize(m, AscentConfig(seed=seed), tol, _closed_form_point=result.p)
     yield "ascent-linf", report.linf_gap, tol
     yield "ascent-objective", abs(report.best_value - result.value_at_root), _OBJECTIVE_TOL
-    if 2 <= m <= 3:
-        spec = grid or GridSpec(10_000 if m == 2 else 1_000)
-        found = _checked("--grid", grid_search, m, spec)
+    if m in _GRID_RESOLUTIONS:
+        spec = grid or GridSpec(_GRID_RESOLUTIONS[m])
+        found = grid_search(m, spec, _closed_form_point=result.p)
         yield f"grid-linf N={spec.resolution}", found.linf_gap, found.tolerance
     if m >= 2:
-        residual = max(
-            abs(_stationarity(gamma_j, r))
-            for gamma_j in result.gamma.values[1:m].tolist()
-            for r in _VERIFY_MASSES
-        )
+        days = zip(result.policy.gamma[:-1].tolist(), result.policy.hazard[:-1].tolist())
+        residual = max(abs(_stationarity(g, h, r)) for g, h in days for r in _VERIFY_MASSES)
         yield "stationarity", residual, _RESIDUAL_TOL
     yield "telescope", float(np.abs(_telescope_residuals(result.gamma)).max()), _RESIDUAL_TOL * m
     gradient = gradient_sm2(result.p)
@@ -373,6 +373,9 @@ def _cmd_verify(args) -> int:
     if not args.tol > 0.0:
         raise _UsageError(f"--tol must be positive, got {args.tol}")
     grid = None if args.grid is None else _checked("--grid", GridSpec, args.grid)
+    for m in _GRID_RESOLUTIONS:
+        if grid is not None and lo <= m <= hi:
+            _checked("--grid", _check_grid_points, m, grid.resolution)
 
     lines: list[str] = []
     max_ascent_gap = 0.0

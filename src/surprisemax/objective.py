@@ -83,8 +83,11 @@ def _check_integer(value, message: str) -> int:
 
 def _tails(p: np.ndarray) -> np.ndarray:
     # Right-to-left accumulation along the last axis: T_m = p_m exactly,
-    # T_1 = total mass.
-    return np.cumsum(p[..., ::-1], axis=-1)[..., ::-1]
+    # T_1 = total mass.  Written backwards into a C-contiguous array, so a
+    # vector and each row of a 2-D batch take the same ``np.log`` path.
+    t = np.empty(p.shape)
+    p[..., ::-1].cumsum(axis=-1, out=t[..., ::-1])
+    return t
 
 
 def tail_masses(p) -> np.ndarray:

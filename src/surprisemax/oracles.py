@@ -51,6 +51,11 @@ GRID_POINT_CAP = 100_000_000
 # Rows evaluated per vectorized batch during the grid scan.
 _BATCH_ROWS = 1 << 18
 
+# Entries of one block of ascent starts (64 KiB per array of the block).
+# Blocks this size ran faster than one start at a time at every m measured
+# from 4 to 8000; one block of all nine starts was slower from m = 2000 on.
+_BLOCK_ENTRIES = 8192
+
 
 class SearchSense(Enum):
     """Which extreme of the reduced score the grid scan hunts for."""
@@ -114,10 +119,9 @@ class OracleReport:
 
 
 def _report(
-    m: int, point: np.ndarray, value: float, tolerance: float, converged: bool = True
+    closed: np.ndarray, point: np.ndarray, value: float, tolerance: float, converged: bool = True
 ) -> OracleReport:
-    """Set what an oracle found against the closed-form schedule of horizon ``m``."""
-    closed = rollout(m).p
+    """Set what an oracle found against the closed-form schedule ``closed``."""
     linf_gap = float(np.max(np.abs(point - closed)))
     return OracleReport(
         best_point=point,
@@ -159,18 +163,27 @@ def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
             yield block
 
 
-def grid_search(m, spec: GridSpec, tolerance: float | None = None) -> OracleReport:
+def _check_grid_points(m: int, resolution: int) -> None:
+    """Refuse a resolution-``resolution`` grid over ``m`` days above the point cap."""
+    count = math.comb(resolution + m - 1, m - 1)
+    if count > GRID_POINT_CAP:
+        raise ValueError(f"grid has {count} points, above the cap of {GRID_POINT_CAP}")
+
+
+def grid_search(
+    m, spec: GridSpec, tolerance: float | None = None, *, _closed_form_point=None
+) -> OracleReport:
     """Scan every lattice point ``k/N`` of the simplex for the best score.
 
     Deterministic: points are visited in lexicographic order and ties keep
     the earliest point, so the result does not depend on batching.  The
     default agreement tolerance is two lattice steps, ``2 / N``.
+    ``_closed_form_point`` is horizon ``m``'s rolled-out schedule, passed by
+    a caller that already holds it; it is not public.
     """
     m = _check_days(m)
     n = spec.resolution
-    count = math.comb(n + m - 1, m - 1)
-    if count > GRID_POINT_CAP:
-        raise ValueError(f"grid has {count} points, above the cap of {GRID_POINT_CAP}")
+    _check_grid_points(m, n)
 
     minimize = spec.sense is SearchSense.MINIMIZE_SM2
     best_value: float | None = None
@@ -186,7 +199,8 @@ def grid_search(m, spec: GridSpec, tolerance: float | None = None) -> OracleRepo
 
     assert best_point is not None and best_value is not None
     tol = 2.0 / n if tolerance is None else float(tolerance)
-    return _report(m, best_point, best_value, tol)
+    closed = rollout(m).p if _closed_form_point is None else _closed_form_point
+    return _report(closed, best_point, best_value, tol)
 
 
 def _simplex_draw(rng: SplitMix64, m: int) -> np.ndarray:
@@ -201,58 +215,101 @@ def _simplex_draw(rng: SplitMix64, m: int) -> np.ndarray:
 
 
 def _scored(q: np.ndarray):
-    """``-sm2(q)``, and the tails and logs that scored it if every entry is > 0.
+    """``-sm2`` of each row of ``q``, and the tails and logs that scored it.
 
-    Over a strictly positive ``q`` this is ``_sm2`` without its masking pass,
-    so the value has the same bits; any other ``q`` goes through ``_sm2``.
+    A row with a zero or NaN entry scores NaN this way; it is scored again
+    by ``_sm2``, which gives such rows their masked value, and flagged in
+    the second result (``None`` when no row is).  Every other row has the
+    bits of ``_sm2``, which masks nothing there.  Expects NumPy's divide and
+    invalid warnings to be off.
     """
-    if q.min() > 0.0:
-        t = _tails(q)
-        log_q = np.log(q)
-        log_t = np.log(t)
-        return -float((q * (log_q - log_t)).sum()), (t, log_q, log_t)
-    return -float(_sm2(q)), None
+    t = _tails(q)
+    log_q = np.log(q)
+    log_t = np.log(t)
+    terms = log_q - log_t
+    terms *= q
+    values = -terms.sum(axis=1)
+    rough = np.isnan(values)
+    if not rough.any():
+        return values, None, t, log_q, log_t
+    values[rough] = -_sm2(q[rough])
+    return values, rough, t, log_q, log_t
 
 
-def _ascend(p0: np.ndarray, config: AscentConfig) -> tuple[np.ndarray, float, bool]:
-    """Run one multiplicative-weights ascent of expected surprise.
+def _ascend(starts: np.ndarray, config: AscentConfig):
+    """Run a multiplicative-weights ascent of expected surprise from each row.
 
     Update: ``p <- normalize(p * exp(-eta * g))`` with ``g`` the gradient of
     the reduced score, so the move is uphill for ``-sm2``.  The step halves
     while it would lower the objective; a step that changes no coordinate by
-    ``convergence_tol`` or more ends the run.  The gradient of each iterate
-    is built from the tails and logs that scored it, in the operation order
-    of ``gradient_sm2``, so it has the same bits.  ``gradient_sm2`` checks
-    the start, and any iterate that ``_scored`` kept no logs for: one with a
-    zero or NaN entry, which it then names.  Every other iterate is strictly
-    positive and normalized by construction.
+    ``convergence_tol`` or more ends the run.  Returns each row's endpoint,
+    its ``-sm2`` and whether it converged.
+
+    The live runs move as one ``(runs, m)`` array, one candidate per run per
+    pass, each at its own iterate, step size and step count.  A run leaves
+    the array when it converges, stalls (``eta < 1e-18`` and still lower) or
+    takes ``max_iterations`` steps.  Every operation acts along rows, so each
+    run has the bits it would have alone.  A new iterate's gradient is built
+    from the tails and logs that scored it, in ``gradient_sm2``'s operation
+    order.  ``gradient_sm2`` checks each start, and any iterate about to
+    step from a zero or NaN entry, which it then names.
     """
-    gradient_sm2(p0)
-    p = p0
-    value, logs = _scored(p)
-    for _ in range(config.max_iterations):
-        if logs is None:
-            gradient_sm2(p)
-        t, log_p, log_t = logs
-        g = log_p + 1.0 - log_t - np.cumsum(p / t)
-        eta = config.step_size
-        while True:
-            weights = p * np.exp(-eta * g)
-            q = weights / weights.sum()
-            candidate, q_logs = _scored(q)
-            if candidate >= value or eta < 1e-18:
-                break
-            eta *= 0.5
-        if candidate < value:
-            return p, value, False
-        delta = float(np.max(np.abs(q - p)))
-        p, value, logs = q, candidate, q_logs
-        if delta < config.convergence_tol:
-            return p, value, True
-    return p, value, False
+    p = starts.copy()
+    g = np.array([gradient_sm2(row) for row in starts])
+    runs = np.arange(len(starts))
+    eta = np.full(runs.size, config.step_size)
+    steps = np.zeros_like(runs)
+    points, values, converged = np.empty_like(p), np.empty(runs.size), np.zeros(runs.size, bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = _scored(p)[0]
+        while runs.size:
+            q = p * np.exp(-eta[:, None] * g)
+            q /= q.sum(axis=1, keepdims=True)
+            candidate, rough, t, log_q, log_t = _scored(q)
+            tiny = eta < 1e-18
+            lower = candidate < score
+            moved = np.where(tiny, ~lower, candidate >= score)
+            steps += moved
+            settled = moved & (np.abs(q - p).max(axis=1) < config.convergence_tol)
+            done = settled | (tiny & lower) | (steps >= config.max_iterations)
+            np.copyto(p, q, where=moved[:, None])
+            np.copyto(score, candidate, where=moved)
+            eta = np.where(moved, config.step_size, eta * 0.5)
+            walk = (moved & ~done).nonzero()[0]
+            if rough is not None:
+                for i in walk[rough[walk]]:
+                    gradient_sm2(q[i])
+            # log_q + 1.0 - log_t - cumsum(q / t), in place to bound the
+            # (runs, m) arrays alive at once; this pass's arrays then go
+            log_q += 1.0
+            log_q -= log_t
+            np.divide(q, t, out=t)
+            g[walk] = log_q[walk] - t[walk].cumsum(axis=1)
+            del q, t, log_q, log_t
+            if done.any():
+                ended = runs[done]
+                points[ended] = p[done]
+                values[ended] = score[done]
+                converged[ended] = settled[done]
+                live = ~done
+                p, g, score, eta, steps, runs = (
+                    p[live], g[live], score[live], eta[live], steps[live], runs[live]
+                )
+    return points, values, converged
 
 
-def ascent_optimize(m, config: AscentConfig | None = None, tolerance: float = 1e-6) -> OracleReport:
+def _best_run(values: np.ndarray) -> int | None:
+    """Index of the highest value, the earliest among ties; NaN never wins."""
+    best, best_value = None, -math.inf
+    for i, value in enumerate(values.tolist()):
+        if value > best_value:
+            best, best_value = i, value
+    return best
+
+
+def ascent_optimize(
+    m, config: AscentConfig | None = None, tolerance: float = 1e-6, *, _closed_form_point=None
+) -> OracleReport:
     """Maximize expected surprise by multiplicative weights, with restarts.
 
     Runs once from the uniform schedule and once from each of
@@ -260,27 +317,27 @@ def ascent_optimize(m, config: AscentConfig | None = None, tolerance: float = 1e
     from a generator seeded with ``(seed + i) mod 2**64``.  The best endpoint
     by achieved objective wins, earliest run winning ties.  Non-convergence
     shows up as ``converged=False`` (and normally a failing gap), never as an
-    exception.
+    exception.  The starts run as row blocks of at most ``_BLOCK_ENTRIES``
+    entries; each start ends on the same bits in any block.
+    ``_closed_form_point`` is as in :func:`grid_search`.
     """
     m = _check_days(m)
     if config is None:
         config = AscentConfig()
 
-    starts = [np.full(m, 1.0 / m)]
+    starts = np.empty((config.restarts + 1, m))
+    starts[0] = 1.0 / m
     for i in range(1, config.restarts + 1):
-        rng = SplitMix64((config.seed + i) & _MASK64)
-        starts.append(_simplex_draw(rng, m))
+        starts[i] = _simplex_draw(SplitMix64((config.seed + i) & _MASK64), m)
 
-    best_point: np.ndarray | None = None
-    best_value = -math.inf
-    best_converged = False
-    for start in starts:
-        point, value, converged = _ascend(start, config)
-        if value > best_value:
-            best_point, best_value, best_converged = point, value, converged
-
-    assert best_point is not None
-    return _report(m, best_point, -best_value, float(tolerance), best_converged)
+    blocks = -(-len(starts) // max(1, _BLOCK_ENTRIES // m))
+    ends = [_ascend(block, config) for block in np.array_split(starts, blocks)]
+    points, values, converged = (np.concatenate(parts) for parts in zip(*ends))
+    best = _best_run(values)
+    assert best is not None
+    closed = rollout(m).p if _closed_form_point is None else _closed_form_point
+    point = points[best].copy()
+    return _report(closed, point, -values[best], float(tolerance), bool(converged[best]))
 
 
 def finite_diff_gradient(p, h: float = 1e-6) -> np.ndarray:

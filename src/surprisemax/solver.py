@@ -184,12 +184,14 @@ def stationarity_residual(j, r, gamma: GammaSequence) -> float:
     rounding; anything else would mean ``x*`` is not a critical point.
     """
     j, r = _check_step(j, r, gamma)
-    return _stationarity(gamma[j], r)
+    gamma_j = gamma[j]
+    return _stationarity(gamma_j, math.exp(-gamma_j), r)
 
 
-def _stationarity(gamma_j: float, r: float) -> float:
-    # The residual at x* = r * exp(-gamma_j), without argument checks.
-    x = r * math.exp(-gamma_j)
+def _stationarity(gamma_j: float, hazard_j: float, r: float) -> float:
+    # The residual at x* = r * hazard_j, hazard_j = exp(-gamma_j), without
+    # argument checks.
+    x = r * hazard_j
     return math.log(x / r) + gamma_j
 
 

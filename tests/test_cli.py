@@ -313,6 +313,26 @@ class TestVerify:
         assert (code, out, horizons) == (1, "", [])
         assert "--grid" in err
 
+    @pytest.mark.parametrize("days", ["1..3", "3..3", "3..9"])
+    def test_grid_cap_refused_before_first_horizon(self, capsys, monkeypatch, days):
+        # (20001 * 20002) / 2 points at m = 3; m = 1 and m = 2 must not run first
+        import surprisemax.cli as cli
+
+        horizons = []
+        monkeypatch.setattr(cli, "rollout", lambda m: horizons.append(m) or rollout(m))
+        code, out, err = run_main(capsys, "verify", "--days", days, "--grid", "20000")
+        assert (code, out, horizons) == (1, "", [])
+        assert err == (
+            "surprisemax: error: --grid: grid has 200030001 points, above the cap of 100000000\n"
+        )
+
+    @pytest.mark.parametrize("days", ["2..2", "4..5"])
+    def test_grid_cap_applies_only_where_the_grid_runs(self, capsys, days):
+        # 20,001 points at m = 2 is under the cap, and m >= 4 runs no grid
+        code, out, _ = run_main(capsys, "verify", "--days", days, "--grid", "20000")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("verify: PASS")
+
 
 class TestSimulate:
     def test_single_day_exact(self, capsys):

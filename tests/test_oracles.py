@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -228,7 +229,12 @@ class TestFiniteDiff:
 
 
 def replay_tails(p):
-    return np.cumsum(p[::-1])[::-1]
+    # The package's tails layout: the same right-to-left sums, written into a
+    # C-contiguous array.  A reversed view would send np.log down another
+    # path on some CPUs and move the last bit of a log.
+    t = np.empty(p.size)
+    np.cumsum(p[::-1], out=t[::-1])
+    return t
 
 
 def replay_sm2(p):
@@ -261,27 +267,50 @@ def replay_ascend(p, max_iterations=100_000, step_size=0.5, convergence_tol=1e-1
     return p, value, False
 
 
-def replay_ascent(m, seed, restarts=8):
-    """Best ``(point, value, converged)`` over the uniform and the drawn starts."""
+def replay_starts(m, seed, restarts=8):
+    """The uniform start, then one drawn start per restart."""
     starts = [np.full(m, 1.0 / m)]
     for i in range(1, restarts + 1):
         rng = SplitMix64((seed + i) & 0xFFFFFFFFFFFFFFFF)
         draws = np.array([-math.log1p(-rng.next_double()) for _ in range(m)])
         total = draws.sum()
         starts.append(draws / total if total > 0.0 else np.full(m, 1.0 / m))
+    return starts
+
+
+def replay_ascent(m, seed, restarts=8, max_iterations=100_000):
+    """Best ``(point, value, converged)`` over the starts, each run alone."""
     best = (None, -math.inf, False)
-    for start in starts:
-        point, value, converged = replay_ascend(start)
+    for start in replay_starts(m, seed, restarts):
+        point, value, converged = replay_ascend(start, max_iterations)
         if value > best[1]:
             best = (point, value, converged)
     return best
 
 
+def assert_runs_match_replay(m, config):
+    """Every row of the batched ascent equals its start's lone replay."""
+    starts = replay_starts(m, config.seed, config.restarts)
+    points, values, converged = oracles_mod._ascend(np.array(starts), config)
+    assert points.shape == (len(starts), m)
+    for i, start in enumerate(starts):
+        point, value, ok = replay_ascend(start, config.max_iterations)
+        assert points[i].tobytes() == point.tobytes(), i
+        assert values[i] == value, i
+        assert bool(converged[i]) is ok, i
+    return converged
+
+
 class TestAscentBits:
-    """The ascent oracle's endpoints, pinned to a per-step replay bit for bit."""
+    """The ascent oracle's endpoints, pinned to a per-step replay bit for bit.
+
+    The replay runs one start at a time; the oracle runs the starts as rows
+    of one array (in row blocks at large m), each row at its own step size
+    and step count.
+    """
 
     @pytest.mark.parametrize("seed", [0, 7])
-    @pytest.mark.parametrize("m", [1, 2, 3, 5, 40, 200, 1000])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 40, 200, 1000, 2003])
     def test_matches_replay(self, m, seed):
         point, value, converged = replay_ascent(m, seed)
         report = ascent_optimize(m, AscentConfig(seed=seed))
@@ -289,9 +318,58 @@ class TestAscentBits:
         assert report.best_value == -value
         assert report.converged is converged
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 40, 46, 49, 57, 200, 1000, 2003])
+    def test_every_run_matches_its_replay(self, m, seed):
+        assert_runs_match_replay(m, AscentConfig(seed=seed))
+
+    @pytest.mark.parametrize("entries", [1, 100, 2500, 10**9])
+    @pytest.mark.parametrize("m", [40, 1000])
+    def test_blocks_do_not_change_the_result(self, monkeypatch, m, entries):
+        # one start per block, two or a few, or all nine in one block
+        default = ascent_optimize(m, AscentConfig(seed=7))
+        monkeypatch.setattr(oracles_mod, "_BLOCK_ENTRIES", entries)
+        report = ascent_optimize(m, AscentConfig(seed=7))
+        assert report.best_point.tobytes() == default.best_point.tobytes()
+        assert report.best_value == default.best_value
+        assert report.converged is default.converged
+
+    def test_stalled_runs_covered(self):
+        # runs that stall at float resolution leave the batch early and
+        # must still end where their lone replay ends
+        converged = assert_runs_match_replay(46, AscentConfig())
+        assert not converged.all()
+
+    @pytest.mark.parametrize(
+        "restarts, max_iterations", [(0, 100_000), (8, 1), (8, 3), (2, 1)]
+    )
+    @pytest.mark.parametrize("m", [2, 5, 40])
+    def test_short_runs_match_replay(self, m, restarts, max_iterations):
+        config = AscentConfig(restarts=restarts, max_iterations=max_iterations, seed=7)
+        assert_runs_match_replay(m, config)
+        point, value, converged = replay_ascent(m, 7, restarts, max_iterations)
+        report = ascent_optimize(m, config)
+        assert report.best_point.tobytes() == point.tobytes()
+        assert report.best_value == -value
+        assert report.converged is converged
+
+
+class TestBestRun:
+    """The earliest run wins ties, and a NaN value never wins."""
+
+    def test_earliest_wins_ties(self):
+        assert oracles_mod._best_run(np.array([0.1, 0.3, 0.2, 0.3])) == 1
+
+    def test_nan_never_wins(self):
+        assert oracles_mod._best_run(np.array([math.nan, 0.1, math.inf, math.nan])) == 2
+        assert oracles_mod._best_run(np.array([math.nan, 0.0, 0.0])) == 1
+
+    def test_all_nan_has_no_winner(self):
+        assert oracles_mod._best_run(np.array([math.nan, math.nan])) is None
+
 
 class TestAscendValidation:
-    """Each iterate of the ascent is checked as a strictly positive schedule."""
+    """Each start, and any iterate that leaves the fast path, is checked."""
 
     @pytest.mark.parametrize(
         "start, message",
@@ -303,5 +381,24 @@ class TestAscendValidation:
     )
     def test_bad_start_raises(self, start, message):
         with pytest.raises(ValueError) as excinfo:
-            oracles_mod._ascend(np.array(start), AscentConfig())
+            oracles_mod._ascend(np.array([start]), AscentConfig())
         assert str(excinfo.value) == message
+
+    def test_accepted_candidate_with_a_zero_entry_raises(self, monkeypatch):
+        # At step 20 the last entry's share underflows to 0, and the
+        # candidate still scores higher, so the line search accepts it.
+        start = np.array([1e-5, 1.0 - 1e-5, 5e-324])
+        checked = []
+
+        def spy(p):
+            checked.append(np.array(p))
+            return gradient_sm2(p)
+
+        monkeypatch.setattr(oracles_mod, "gradient_sm2", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as excinfo:
+                oracles_mod._ascend(start[None, :], AscentConfig(step_size=20.0))
+        assert str(excinfo.value) == "gradient needs every entry strictly positive"
+        assert checked[0].tobytes() == start.tobytes()
+        assert len(checked) == 2 and checked[1].min() == 0.0
