@@ -22,7 +22,14 @@ from .objective import as_probability_vector, gradient_sm2, objective_values, ta
 from .oracles import AscentConfig, GridSpec, _check_grid_points, grid_search, ascent_optimize
 from .rng import _check_seed
 from .simulate import SimulationConfig, estimate_expected_surprise
-from .solver import SolveResult, _stationarity, _telescope_residuals, rollout
+from .solver import (
+    _RETAINED_DAYS,
+    SolveResult,
+    _backward,
+    _stationarity,
+    _telescope_residuals,
+    rollout,
+)
 
 __all__ = ["main", "format_float", "format_floats"]
 
@@ -210,11 +217,70 @@ def _chunks(n: int):
     return ((lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
 
 
-def _json_list(values: np.ndarray):
+def _joined(values: np.ndarray, lo: int, hi: int) -> str:
+    return ", ".join(format_floats(values[lo:hi]))
+
+
+class _SequenceText:
+    """Rendered text of one column of the solver's shared backward sequence.
+
+    ``column(n)`` gives the column's entries for days left ``k = n-1 .. 0``,
+    the solver's descending-``k`` order.  The text keeps them in that order
+    as one ``", "``-joined string, with the start of each entry and one past
+    the last, so any run of days of any horizon is one slice.  It grows
+    lazily to the days asked for, up to the solver's cap, rendering the new
+    entries in ``_CHUNK``-entry pieces; days further back are rendered on
+    each use.  A growth copies about 25 B per stored day, far less than the
+    rendering of the horizon that asks for it.  The text takes about 19.5 B
+    per day for gamma and 23.5 B for the hazard, the starts 4 B.
+    """
+
+    def __init__(self, column):
+        self._column = column
+        # (text, starts), read and rebound whole like the solver's sequence;
+        # the starts fit int32: an entry is at most 24 characters
+        self._rendered = ("", np.zeros(1, dtype=np.int32))
+
+    def joined(self, values: np.ndarray, lo: int, hi: int) -> str:
+        """``_joined(values, lo, hi)`` for ``values``, this column of one horizon."""
+        m = values.size
+        text, starts = self._rendered
+        stored = starts.size - 1
+        if stored < m - lo and stored < _RETAINED_DAYS:
+            text, starts = self._rendered = self._grown(min(m - lo, _RETAINED_DAYS))
+            stored = starts.size - 1
+        # day i (from 0) has k = m-1-i days left, entry stored-m+i of the text
+        split = min(hi, max(lo, m - stored))
+        tail = text[starts[split + stored - m] : starts[hi + stored - m] - 2] if split < hi else ""
+        if split == lo:
+            return tail
+        head = _joined(values, lo, split)
+        return head + ", " + tail if tail else head
+
+    def _grown(self, n: int) -> tuple[str, np.ndarray]:
+        text, starts = self._rendered
+        values = self._column(n)[: n + 1 - starts.size]
+        pieces, lengths = [], []
+        for lo, hi in _chunks(values.size):
+            texts = format_floats(values[lo:hi])
+            lengths.append(np.fromiter(map(len, texts), np.int32, hi - lo))
+            pieces.append(", ".join(texts))
+        if text:
+            pieces.append(text)
+        # the new entries end 2 characters (", ") before the next one starts
+        ends = np.cumsum(np.concatenate(lengths) + 2, dtype=np.int32)
+        return ", ".join(pieces), np.concatenate(([0], ends, starts[1:] + ends[-1]), dtype=np.int32)
+
+
+_GAMMA_TEXT = _SequenceText(lambda n: _backward(n)[0][1:])
+_HAZARD_TEXT = _SequenceText(lambda n: _backward(n)[1])
+
+
+def _json_list(values: np.ndarray, joined=_joined):
     """The entries of a JSON number array, without the brackets, in pieces."""
     sep = ""
     for lo, hi in _chunks(values.size):
-        yield sep + ", ".join(format_floats(values[lo:hi]))
+        yield sep + joined(values, lo, hi)
         sep = ", "
 
 
@@ -230,7 +296,7 @@ def _render_fields(fields, fmt: str, end: str = "\n"):
 
     Each field is ``(key, value)``.  A value is rendered scalar text, an
     array (``key_j,value`` lines in CSV, a list in JSON) or, in JSON only, a
-    nested field list.
+    nested field list or the pieces of a list from ``_json_list``.
     """
     if fmt == "csv":
         yield "field,value\n"
@@ -244,13 +310,15 @@ def _render_fields(fields, fmt: str, end: str = "\n"):
     for key, value in fields:
         yield f'{sep}"{key}": '
         if isinstance(value, np.ndarray):
-            yield "["
-            yield from _json_list(value)
-            yield "]"
-        elif isinstance(value, list):
+            value = _json_list(value)
+        if isinstance(value, list):
             yield from _render_fields(value, fmt, "")
-        else:
+        elif isinstance(value, str):
             yield value
+        else:
+            yield "["
+            yield from value
+            yield "]"
         sep = ", "
     yield "}" + end
 
@@ -265,10 +333,14 @@ def _objective_fields(obj) -> list[tuple[str, str]]:
 
 def _render_solve_csv(result: SolveResult):
     policy = result.policy
-    columns = (policy.gamma, policy.hazard, policy.allocations, policy.remaining_before)
     yield "j,gamma,hazard,p,remaining_before\n"
     for lo, hi in _chunks(policy.m):
-        texts = [format_floats(column[lo:hi]) for column in columns]
+        texts = (
+            _GAMMA_TEXT.joined(policy.gamma, lo, hi).split(", "),
+            _HAZARD_TEXT.joined(policy.hazard, lo, hi).split(", "),
+            format_floats(policy.allocations[lo:hi]),
+            format_floats(policy.remaining_before[lo:hi]),
+        )
         yield "".join(map("{},{},{},{},{}\n".format, range(lo + 1, hi + 1), *texts))
 
 
@@ -294,7 +366,7 @@ def _cmd_table(args) -> int:
             fields = [
                 ("m", str(result.m)),
                 ("gamma0", format_float(result.gamma[0])),
-                ("gamma", result.policy.gamma),
+                ("gamma", _json_list(result.policy.gamma, _GAMMA_TEXT.joined)),
                 ("p", result.p),
                 ("objective", _objective_fields(result.objective)),
                 ("value_at_root", format_float(result.value_at_root)),
@@ -359,9 +431,9 @@ def _verify_checks(m: int, seed: int, tol: float, grid: GridSpec | None):
         found = grid_search(m, spec, _closed_form_point=result.p)
         yield f"grid-linf N={spec.resolution}", found.linf_gap, found.tolerance
     if m >= 2:
-        days = zip(result.policy.gamma[:-1].tolist(), result.policy.hazard[:-1].tolist())
-        residual = max(abs(_stationarity(g, h, r)) for g, h in days for r in _VERIFY_MASSES)
-        yield "stationarity", residual, _RESIDUAL_TOL
+        masses = np.array(_VERIFY_MASSES)[:, None]
+        residuals = _stationarity(result.policy.gamma[:-1], result.policy.hazard[:-1], masses)
+        yield "stationarity", float(np.abs(residuals).max()), _RESIDUAL_TOL
     yield "telescope", float(np.abs(_telescope_residuals(result.gamma)).max()), _RESIDUAL_TOL * m
     gradient = gradient_sm2(result.p)
     yield "gradient-spread", float(gradient.max() - gradient.min()), _SPREAD_TOL

@@ -25,11 +25,18 @@ achieves reduced score ``1 - gamma_0`` and expected surprise ``gamma_0 - 1``.
 The recursion is evaluated in exactly the order written above, one fused
 step per day, which makes every gamma value bit-reproducible.  Each step's
 single ``math.exp`` call is both the hazard of day ``j`` and the increment
-that gives ``gamma_{j-1}``; hazards are never recomputed.  ``np.exp`` is
-not used: it differs from ``math.exp`` in the last ulp on 45,163 of the
-1,000,001 gamma values at ``m = 10**6``.  Gamma and the schedule columns
-are float64 arrays.  A direct consequence worth knowing: ``gamma_{m-1} ==
-1.0`` exactly, so the next to last day always has hazard ``exp(-1)``.
+that gives ``gamma_{j-1}``; hazards are never recomputed.  ``gamma_j`` and
+its hazard depend on the days left ``k = m - j`` alone, so one sequence
+``G_k``, ``H_k = exp(-G_k)`` serves every horizon: it is kept once per
+process, in descending ``k``, and horizon ``m`` reads its columns as
+read-only suffix views.  It grows by continuing the same loop from its
+largest ``G``, which gives the bits a fresh run gives, and keeps at most
+``_RETAINED_DAYS`` days; longer horizons continue it without keeping the
+extra days.  ``np.exp`` is not used: it differs from ``math.exp`` in the
+last ulp on 45,163 of the 1,000,001 gamma values at ``m = 10**6``.  Gamma
+and the schedule columns are float64 arrays.  A direct consequence worth
+knowing: ``gamma_{m-1} == 1.0`` exactly, so the next to last day always has
+hazard ``exp(-1)``.
 """
 
 from __future__ import annotations
@@ -66,17 +73,30 @@ def _check_days(m) -> int:
 
 
 def _frozen(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+    return _frozen_in_place(np.array(values, dtype=np.float64))
+
+
+def _frozen_in_place(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _holding(cls, **columns):
+    # An instance of a frozen array dataclass that holds read-only arrays
+    # built here as they are: the public constructors freeze a copy instead.
+    obj = object.__new__(cls)
+    for name, arr in columns.items():
+        object.__setattr__(obj, name, _frozen_in_place(arr))
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
 class GammaSequence:
     """Hazard exponents ``gamma_0 .. gamma_m`` for a fixed horizon.
 
-    ``values[j]`` is ``gamma_j``; the array is a read-only copy, strictly
+    ``values[j]`` is ``gamma_j``; the array is read-only, strictly
     decreasing, with ``values[m] == 0`` and ``values[m-1] == 1`` exactly.
+    The constructor freezes a copy of its input.
     """
 
     values: np.ndarray = field(repr=False)
@@ -98,20 +118,59 @@ class GammaSequence:
         return f"GammaSequence(m={self.m}, gamma0={self[0]!r})"
 
 
+# Days of the shared sequence kept for the life of the process: 16 B per
+# day (one gamma, one hazard), 1 MB at the cap.
+_RETAINED_DAYS = 2**16
+
+# The shared sequence, in descending days left: for K stored days,
+# ``gamma[i] = G_{K-i}`` (i = 0..K) and ``hazard[i] = H_{K-1-i}``
+# (i = 0..K-1).  One tuple, read and rebound whole, so no reader sees one
+# array grown and not the other; arrays once stored are never written.
+_shared = (_frozen([0.0]), _frozen([]))
+
+
+def _continued(sequence, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``sequence`` continued to ``n`` days left, in new read-only arrays.
+
+    The loop picks up at the largest stored ``G`` and runs the steps in
+    their order (``h = exp(-g)``, then ``g = g + h``), so every new entry
+    has the bits a run from ``G_0 = 0`` gives.
+    """
+    gamma, hazard = sequence
+    steps = n - (gamma.size - 1)
+    new_gamma = array("d", [0.0]) * steps
+    new_hazard = array("d", [0.0]) * steps
+    g = float(gamma[0])
+    for i in reversed(range(steps)):
+        new_hazard[i] = h = math.exp(-g)
+        new_gamma[i] = g = g + h
+    return (
+        _frozen_in_place(np.concatenate((np.frombuffer(new_gamma), gamma))),
+        _frozen_in_place(np.concatenate((np.frombuffer(new_hazard), hazard))),
+    )
+
+
 def _backward(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``gamma_0 .. gamma_m`` and the hazards ``exp(-gamma_j)`` of days ``1..m``."""
-    gamma = array("d", [0.0]) * (m + 1)
-    hazard = array("d", [0.0]) * m
-    g = 0.0
-    for j in reversed(range(m)):
-        hazard[j] = h = math.exp(-g)
-        gamma[j] = g = g + h
-    return np.frombuffer(gamma), np.frombuffer(hazard)
+    """``gamma_0 .. gamma_m`` and the hazards ``exp(-gamma_j)`` of days ``1..m``.
+
+    Both are read-only, C-contiguous suffix views of the shared sequence,
+    which grows to ``m`` days, up to the cap.  A growth copies 16 B per
+    stored day, far less than the rollout of the horizon that asks for it.
+    """
+    global _shared
+    sequence = _shared
+    stored = sequence[0].size - 1
+    if stored < m and stored < _RETAINED_DAYS:
+        _shared = sequence = _continued(sequence, min(m, _RETAINED_DAYS))
+    if sequence[0].size - 1 < m:
+        sequence = _continued(sequence, m)
+    gamma, hazard = sequence
+    return gamma[gamma.size - 1 - m :], hazard[hazard.size - m :]
 
 
 def gamma_sequence(m) -> GammaSequence:
     """The sequence ``gamma_m = 0``, ``gamma_{j-1} = gamma_j + exp(-gamma_j)``."""
-    return GammaSequence(_backward(_check_days(m))[0])
+    return _holding(GammaSequence, values=_backward(_check_days(m))[0])
 
 
 def _check_day_index(j, m: int, upper: int) -> int:
@@ -185,14 +244,17 @@ def stationarity_residual(j, r, gamma: GammaSequence) -> float:
     """
     j, r = _check_step(j, r, gamma)
     gamma_j = gamma[j]
-    return _stationarity(gamma_j, math.exp(-gamma_j), r)
+    return float(_stationarity(gamma_j, math.exp(-gamma_j), r))
 
 
-def _stationarity(gamma_j: float, hazard_j: float, r: float) -> float:
-    # The residual at x* = r * hazard_j, hazard_j = exp(-gamma_j), without
-    # argument checks.
-    x = r * hazard_j
-    return math.log(x / r) + gamma_j
+def _stationarity(gamma_j, hazard_j, r) -> np.ndarray:
+    # The residual log(x*/r) + gamma_j at x* = r * hazard_j, hazard_j =
+    # exp(-gamma_j), without argument checks, for scalars or for arrays that
+    # broadcast together.  The ratio is exact IEEE arithmetic either way,
+    # and each log is one math.log call, as in a scalar loop.
+    ratio = np.multiply(r, hazard_j) / r
+    logs = np.fromiter(map(math.log, ratio.ravel().tolist()), np.float64, ratio.size)
+    return logs.reshape(ratio.shape) + gamma_j
 
 
 def telescope_residual(gamma: GammaSequence, k) -> float:
@@ -291,8 +353,14 @@ def rollout(m) -> SolveResult:
     remaining_before = np.fromiter(
         accumulate(memoryview(hazard), lambda r, h: r - r * h, initial=1.0), np.float64, m
     )
-    table = PolicyTable(gamma[1:], hazard, remaining_before, remaining_before * hazard)
-    sequence = GammaSequence(gamma)
+    table = _holding(
+        PolicyTable,
+        gamma=gamma[1:],
+        hazard=hazard,
+        remaining_before=remaining_before,
+        allocations=remaining_before * hazard,
+    )
+    sequence = _holding(GammaSequence, values=gamma)
     return SolveResult(
         policy=table,
         gamma=sequence,

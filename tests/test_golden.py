@@ -9,6 +9,7 @@ replay of the recursion and the rollout, rendered field by field with
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from surprisemax import (
     tail_masses,
 )
 from surprisemax import cli
+from surprisemax import solver as solver_mod
 from surprisemax.cli import format_float, format_floats, main
 
 EDGE_VALUES = [0.0, -0.0, 1.0, 2.0**53, 1e16, 1e22, 5e-324, 1.5]
@@ -168,6 +170,78 @@ class TestSolveBytes:
         code, out, _ = run_main(capsys, "table", "--days", "1..30", "--format", "json")
         assert code == 0
         assert_same_lines(out, "".join(reference_solve(m, "json") for m in range(1, 31)))
+
+
+CAP = solver_mod._RETAINED_DAYS
+
+
+def cold_solve(m, fmt):
+    """``solve --days m`` stdout from a fresh rollout, each column rendered
+    whole by one ``format_floats`` call, with nothing kept between horizons."""
+    res = rollout(m)
+    policy = res.policy
+    if fmt == "csv":
+        columns = (policy.gamma, policy.hazard, policy.allocations, policy.remaining_before)
+        rows = zip(map(str, range(1, m + 1)), *map(format_floats, columns))
+        return "j,gamma,hazard,p,remaining_before\n" + "\n".join(map(",".join, rows)) + "\n"
+    return (
+        f'{{"m": {m}, "gamma0": {format_float(res.gamma[0])}, '
+        f'"gamma": [{", ".join(format_floats(policy.gamma))}], '
+        f'"p": [{", ".join(format_floats(res.p))}], {objective_json(res.objective)}, '
+        f'"value_at_root": {format_float(res.value_at_root)}}}\n'
+    )
+
+
+def cold_table(lo, hi, fmt):
+    """``table --days lo..hi`` stdout, joined from ``cold_solve`` blocks as ``table`` joins them."""
+    blocks = [cold_solve(m, fmt) for m in range(lo, hi + 1)]
+    return ("\n" if fmt == "csv" else "").join(blocks)
+
+
+@pytest.fixture
+def cold_text(cold_sequence, monkeypatch):
+    """The solver's shared sequence and the CLI's text of it, as a fresh process starts them."""
+    for store in (cli._GAMMA_TEXT, cli._HAZARD_TEXT):
+        monkeypatch.setattr(store, "_rendered", cli._SequenceText(None)._rendered)
+
+
+class TestSharedText:
+    """Stdout read from the kept gamma/hazard text equals a cold rendering."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_after_a_longer_horizon(self, cold_text, capsys, fmt):
+        run_main(capsys, "solve", "--days", str(CAP + 2), "--format", fmt)
+        for m in (CAP + 1, 4097, CAP - 1, 4095, CAP, 4096):
+            code, out, err = run_main(capsys, "solve", "--days", str(m), "--format", fmt)
+            assert (code, err) == (0, "")
+            assert_same_lines(out, cold_solve(m, fmt))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "first, lo, hi", [(10, 4094, 4098), (4096, 4094, 4098), (CAP - 2, CAP - 1, CAP + 1)]
+    )
+    def test_span_that_grows_the_text(self, cold_text, capsys, fmt, first, lo, hi):
+        run_main(capsys, "solve", "--days", str(first), "--format", fmt)
+        code, out, err = run_main(capsys, "table", "--days", f"{lo}..{hi}", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert_same_lines(out, cold_table(lo, hi, fmt))
+
+    def test_retention_capped(self, cold_text):
+        # at most 76 B per kept day: per column an entry of at most 24
+        # characters, its ", " and a 4-byte start, and 16 B in the solver
+        stores = (cli._GAMMA_TEXT, cli._HAZARD_TEXT)
+        tracemalloc.start()
+        try:
+            policy = rollout(2 * CAP).policy
+            for store, column in zip(stores, (policy.gamma, policy.hazard)):
+                store.joined(column, 0, 1)
+            del policy, column
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        for store in stores:
+            assert store._rendered[1].size == CAP + 1
+        assert retained <= 76 * CAP
 
 
 EVAL_VECTORS = {

@@ -355,3 +355,96 @@ class TestRollout:
         finally:
             tracemalloc.stop()
         assert peak <= 100 * m
+
+
+def replay_columns(m):
+    """``gamma_0..gamma_m`` and the four day columns of horizon ``m``.
+
+    A scalar replay of the recursion and of the forward pass, one step per
+    day in the solver's order, that shares no state with the package.
+    """
+    gamma = [0.0] * (m + 1)
+    hazard = [0.0] * m
+    g = 0.0
+    for j in range(m, 0, -1):
+        h = math.exp(-g)
+        g = g + h
+        hazard[j - 1] = h
+        gamma[j - 1] = g
+    remaining, allocations = [], []
+    r = 1.0
+    for h in hazard:
+        remaining.append(r)
+        allocations.append(r * h)
+        r = r - r * h
+    return {
+        "sequence": gamma,
+        "gamma": gamma[1:],
+        "hazard": hazard,
+        "remaining_before": remaining,
+        "allocations": allocations,
+    }
+
+
+CAP = solver_mod._RETAINED_DAYS
+# grows from cold, shrinks, crosses the cap both ways and lands on it
+SHARED_ORDER = [4096, 1, CAP + 1, 3, 2 * CAP, 4095, CAP, 2, CAP - 1, 4097, 1, CAP + 1]
+
+
+def frozen(values):
+    arr = np.array(values, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
+class TestSharedSequence:
+    def test_every_horizon_bit_equal_to_replay(self, cold_sequence):
+        replays = {m: replay_columns(m) for m in set(SHARED_ORDER)}
+        for m in SHARED_ORDER:
+            res = rollout(m)
+            expected = replays[m]
+            columns = {
+                "sequence": res.gamma.values,
+                "gamma": res.policy.gamma,
+                "hazard": res.policy.hazard,
+                "remaining_before": res.policy.remaining_before,
+                "allocations": res.p,
+            }
+            for name, column in columns.items():
+                assert column.tobytes() == frozen(expected[name]).tobytes(), (m, name)
+                assert column.flags.c_contiguous and not column.flags.writeable, (m, name)
+            values = gamma_sequence(m).values
+            assert values.tobytes() == frozen(expected["sequence"]).tobytes(), m
+            assert values.flags.c_contiguous and not values.flags.writeable
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 50, 4999])
+    def test_shift_invariant_replay(self, m):
+        # the twin of TestGammaSequence.test_shift_invariant, which compares
+        # two views of the one shared sequence: here each horizon is checked
+        # against its own replay, and the replays against each other
+        horizon = 5000
+        expected = replay_columns(m)["sequence"]
+        assert expected == replay_columns(horizon)["sequence"][horizon - m :]
+        assert gamma_sequence(m).values.tobytes() == frozen(expected).tobytes()
+        assert rollout(m).policy.hazard.tolist() == replay_columns(m)["hazard"]
+
+    def test_growth_leaves_returned_columns_alone(self, cold_sequence):
+        small = rollout(5)
+        before = [small.gamma.values.tobytes(), small.policy.hazard.tobytes()]
+        rollout(CAP)
+        rollout(2 * CAP)
+        assert [small.gamma.values.tobytes(), small.policy.hazard.tobytes()] == before
+
+    def test_retention_capped(self, cold_sequence):
+        # 16 B per kept day (one gamma, one hazard); past the cap the rest of
+        # a long horizon is dropped with its result
+        rollout(1)
+        tracemalloc.start()
+        try:
+            rollout(2 * CAP)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        gamma, hazard = solver_mod._shared
+        assert (gamma.size, hazard.size) == (CAP + 1, CAP)
+        assert retained <= 16 * CAP + 4096
