@@ -25,7 +25,6 @@ from .simulate import SimulationConfig, estimate_expected_surprise
 from .solver import (
     _RETAINED_DAYS,
     SolveResult,
-    _backward,
     _stationarity,
     _telescope_residuals,
     rollout,
@@ -209,12 +208,13 @@ def load_distribution(path: str) -> np.ndarray:
 # rendering
 
 # Long columns are rendered this many entries at a time, so no full column
-# of strings is ever held at once.
+# of strings is ever held at once.  Runs are counted from the column's end,
+# short run first, so the _RETAINED_DAYS kept days are a whole number of runs.
 _CHUNK = 4096
 
 
 def _chunks(n: int):
-    return ((lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
+    return ((max(0, hi - _CHUNK), hi) for hi in range(n % _CHUNK or _CHUNK, n + 1, _CHUNK))
 
 
 def _joined(values: np.ndarray, lo: int, hi: int) -> str:
@@ -224,19 +224,18 @@ def _joined(values: np.ndarray, lo: int, hi: int) -> str:
 class _SequenceText:
     """Rendered text of one column of the solver's shared backward sequence.
 
-    ``column(n)`` gives the column's entries for days left ``k = n-1 .. 0``,
-    the solver's descending-``k`` order.  The text keeps them in that order
-    as one ``", "``-joined string, with the start of each entry and one past
-    the last, so any run of days of any horizon is one slice.  It grows
-    lazily to the days asked for, up to the solver's cap, rendering the new
-    entries in ``_CHUNK``-entry pieces; days further back are rendered on
+    The text keeps the column's entries in the solver's descending order of
+    days left ``k`` as one ``", "``-joined string, with the start of each
+    entry and one past the last, so any run of days of any horizon is one
+    slice.  It grows lazily to the days asked for, up to the solver's cap,
+    rendering the new entries from the asking horizon's own column in
+    ``_CHUNK``-entry pieces; a run that reaches further back is rendered on
     each use.  A growth copies about 25 B per stored day, far less than the
     rendering of the horizon that asks for it.  The text takes about 19.5 B
     per day for gamma and 23.5 B for the hazard, the starts 4 B.
     """
 
-    def __init__(self, column):
-        self._column = column
+    def __init__(self):
         # (text, starts), read and rebound whole like the solver's sequence;
         # the starts fit int32: an entry is at most 24 characters
         self._rendered = ("", np.zeros(1, dtype=np.int32))
@@ -244,22 +243,19 @@ class _SequenceText:
     def joined(self, values: np.ndarray, lo: int, hi: int) -> str:
         """``_joined(values, lo, hi)`` for ``values``, this column of one horizon."""
         m = values.size
+        if m - lo > _RETAINED_DAYS:
+            return _joined(values, lo, hi)
         text, starts = self._rendered
         stored = starts.size - 1
-        if stored < m - lo and stored < _RETAINED_DAYS:
-            text, starts = self._rendered = self._grown(min(m - lo, _RETAINED_DAYS))
-            stored = starts.size - 1
+        if stored < m - lo:
+            text, starts = self._rendered = self._grown(values[lo : m - stored])
+            stored = m - lo
         # day i (from 0) has k = m-1-i days left, entry stored-m+i of the text
-        split = min(hi, max(lo, m - stored))
-        tail = text[starts[split + stored - m] : starts[hi + stored - m] - 2] if split < hi else ""
-        if split == lo:
-            return tail
-        head = _joined(values, lo, split)
-        return head + ", " + tail if tail else head
+        return text[starts[lo + stored - m] : starts[hi + stored - m] - 2]
 
-    def _grown(self, n: int) -> tuple[str, np.ndarray]:
+    def _grown(self, values: np.ndarray) -> tuple[str, np.ndarray]:
+        """The text with ``values``, the entries of the next days left, put in front."""
         text, starts = self._rendered
-        values = self._column(n)[: n + 1 - starts.size]
         pieces, lengths = [], []
         for lo, hi in _chunks(values.size):
             texts = format_floats(values[lo:hi])
@@ -272,8 +268,8 @@ class _SequenceText:
         return ", ".join(pieces), np.concatenate(([0], ends, starts[1:] + ends[-1]), dtype=np.int32)
 
 
-_GAMMA_TEXT = _SequenceText(lambda n: _backward(n)[0][1:])
-_HAZARD_TEXT = _SequenceText(lambda n: _backward(n)[1])
+_GAMMA_TEXT = _SequenceText()
+_HAZARD_TEXT = _SequenceText()
 
 
 def _json_list(values: np.ndarray, joined=_joined):
@@ -512,10 +508,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

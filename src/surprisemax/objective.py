@@ -95,14 +95,35 @@ def tail_masses(p) -> np.ndarray:
     return _tails(as_probability_vector(p))
 
 
-def _sm2(p: np.ndarray):
-    """Reduced score along the last axis: a scalar for a vector, one per row."""
+def _scored(p: np.ndarray):
+    """Reduced score along the last axis, and the tails and logs that scored it.
+
+    Returns ``(sm2, rough, t, log_p, log_t)``: ``sm2`` is a scalar for a
+    vector and one value per row for a 2-D batch.  A zero entry gives a NaN
+    term unmasked; if any term is NaN, every row is summed with the
+    ``p > 0`` mask, which gives a row without one the bits of its unmasked
+    sum, and ``rough`` flags the NaN terms (``None`` when there are none).
+    Expects NumPy's divide and invalid warnings to be off.
+    """
     # No simplex check here: the finite-difference oracle evaluates the same
     # formula just off the simplex.  Entries must still be nonnegative.
     t = _tails(p)
+    log_p = np.log(p)
+    log_t = np.log(t)
+    terms = log_p - log_t
+    terms *= p
+    # looked for entry by entry: a sum along short rows costs several times
+    # more, and the lattice blocks of the grid scan all hold zeros
+    rough = np.isnan(terms)
+    if not rough.any():
+        return terms.sum(axis=-1), None, t, log_p, log_t
+    return np.where(p > 0.0, terms, 0.0).sum(axis=-1), rough, t, log_p, log_t
+
+
+def _sm2(p: np.ndarray):
+    """Reduced score along the last axis: a scalar for a vector, one per row."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = p * (np.log(p) - np.log(t))
-    return np.where(p > 0.0, terms, 0.0).sum(axis=-1)
+        return _scored(p)[0]
 
 
 def eval_sm2(p) -> float:

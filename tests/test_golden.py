@@ -202,7 +202,22 @@ def cold_table(lo, hi, fmt):
 def cold_text(cold_sequence, monkeypatch):
     """The solver's shared sequence and the CLI's text of it, as a fresh process starts them."""
     for store in (cli._GAMMA_TEXT, cli._HAZARD_TEXT):
-        monkeypatch.setattr(store, "_rendered", cli._SequenceText(None)._rendered)
+        monkeypatch.setattr(store, "_rendered", cli._SequenceText()._rendered)
+
+
+@given(st.integers(0, 40 * cli._CHUNK))
+def test_chunks_counted_from_the_end(n):
+    runs = list(cli._chunks(n))
+    # the runs cover 0..n in order; only the first may be short
+    edges = [0] + [hi for _, hi in runs]
+    assert [lo for lo, _ in runs] == edges[:-1]
+    assert edges[-1] == n
+    assert all(0 < hi - lo <= cli._CHUNK for lo, hi in runs)
+    assert all(hi - lo == cli._CHUNK for lo, hi in runs[1:])
+    # every whole number of runs back from the end is a run boundary: at the
+    # cap, the first kept day of a longer horizon
+    assert {n - k for k in range(cli._CHUNK, n, cli._CHUNK)} <= set(edges)
+    assert CAP % cli._CHUNK == 0
 
 
 class TestSharedText:
@@ -234,7 +249,8 @@ class TestSharedText:
         try:
             policy = rollout(2 * CAP).policy
             for store, column in zip(stores, (policy.gamma, policy.hazard)):
-                store.joined(column, 0, 1)
+                for lo, hi in cli._chunks(column.size):
+                    store.joined(column, lo, hi)
             del policy, column
             retained = tracemalloc.get_traced_memory()[0]
         finally:
@@ -242,6 +258,22 @@ class TestSharedText:
         for store in stores:
             assert store._rendered[1].size == CAP + 1
         assert retained <= 76 * CAP
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_past_the_cap_renders_only_the_extra_days(self, cold_text, capsys, monkeypatch, fmt):
+        # after a horizon at the cap, one 5000 days longer formats its first
+        # 5000 gamma (and hazard) entries; the rest are read from the kept text
+        run_main(capsys, "solve", "--days", str(CAP), "--format", fmt)
+        formatted = []
+        format_all = cli.format_floats
+        monkeypatch.setattr(cli, "format_floats", lambda v: formatted.append(len(v)) or format_all(v))
+        m = CAP + 5000
+        code, out, err = run_main(capsys, "solve", "--days", str(m), "--format", fmt)
+        assert (code, err) == (0, "")
+        # p, and remaining_before in CSV, are rendered per horizon
+        per_horizon, kept = (2 * m, 2 * 5000) if fmt == "csv" else (m, 5000)
+        assert sum(formatted) == per_horizon + kept
+        assert_same_lines(out, cold_solve(m, fmt))
 
 
 EVAL_VECTORS = {

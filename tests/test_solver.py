@@ -1,12 +1,14 @@
 """Closed-form solver: hazard recursion, policy, value function, rollout.
 
-The frozen digits were produced by running the recursion at 60 decimal
-digits and rounding to binary64; the structural identities (exact zeros,
-exact ones, telescoping) need no reference values at all.
+The frozen digits are the recursion and the rollout run at 60 decimal
+digits and rounded to binary64, which ``TestFrozenConstants`` checks; the
+structural identities (exact zeros, exact ones, telescoping) need no
+reference values at all.
 """
 
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -35,7 +37,33 @@ GAMMA0 = {
 }
 
 ROLLOUT2 = (0.36787944117144233, 0.6321205588285577)
-ROLLOUT3 = (0.2546463800435825, 0.2742002731846785, 0.471153346771739)
+ROLLOUT3 = (0.2546463800435825, 0.2742002731846785, 0.47115334677173903)
+
+
+def decimal_rollout(m):
+    """``gamma_0`` and the schedule of horizon ``m``, at 60 decimal digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        g = [Decimal(0)] * (m + 1)
+        for j in range(m, 0, -1):
+            g[j - 1] = g[j] + (-g[j]).exp()
+        p, remaining = [], Decimal(1)
+        for j in range(1, m):
+            p.append(remaining * (-g[j]).exp())
+            remaining -= p[-1]
+        return g[0], p + [remaining]
+
+
+class TestFrozenConstants:
+    """Every frozen constant is its 60-digit value rounded to binary64."""
+
+    @pytest.mark.parametrize("m", sorted(GAMMA0))
+    def test_gamma0(self, m):
+        assert float(decimal_rollout(m)[0]) == GAMMA0[m]
+
+    @pytest.mark.parametrize("m, frozen", [(2, ROLLOUT2), (3, ROLLOUT3)])
+    def test_rollout(self, m, frozen):
+        assert tuple(map(float, decimal_rollout(m)[1])) == frozen
 
 
 class TestGammaSequence:
