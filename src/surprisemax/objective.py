@@ -81,12 +81,19 @@ def _check_integer(value, message: str) -> int:
     return int(value)
 
 
-def _tails(p: np.ndarray) -> np.ndarray:
-    # Right-to-left accumulation along the last axis: T_m = p_m exactly,
-    # T_1 = total mass.  Written backwards into a C-contiguous array, so a
-    # vector and each row of a 2-D batch take the same ``np.log`` path.
+def _tails(p: np.ndarray, columns: bool = False) -> np.ndarray:
+    # Right-to-left accumulation: T_m = p_m exactly, T_1 = total mass.  Along
+    # the last axis it is written backwards into a C-contiguous array, so a
+    # vector and each row of a 2-D batch take the same ``np.log`` path.  A
+    # column block adds whole days from the last one up: the same sums in the
+    # same order, in one call per day instead of one short call per schedule.
     t = np.empty(p.shape)
-    p[..., ::-1].cumsum(axis=-1, out=t[..., ::-1])
+    if columns:
+        t[-1] = p[-1]
+        for j in range(len(p) - 2, -1, -1):
+            np.add(t[j + 1], p[j], out=t[j])
+    else:
+        p[..., ::-1].cumsum(axis=-1, out=t[..., ::-1])
     return t
 
 
@@ -95,19 +102,46 @@ def tail_masses(p) -> np.ndarray:
     return _tails(as_probability_vector(p))
 
 
-def _scored(p: np.ndarray):
-    """Reduced score along the last axis, and the tails and logs that scored it.
+def _pairwise(x: np.ndarray) -> np.ndarray:
+    # NumPy's pairwise summation of a contiguous run, over the rows of ``x``:
+    # under 8 rows in order; up to 128 in 8 interleaved partial sums, combined
+    # as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in order; more
+    # than that as two halves, the first a multiple of 8 rows long.
+    n = len(x)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise(x[:half]) + _pairwise(x[half:])
+    if n < 8:
+        total = x[0].copy()
+        rest = x[1:]
+    else:
+        r = x[:8].copy()
+        for i in range(8, n - n % 8, 8):
+            r += x[i : i + 8]
+        total = (r[0] + r[1]) + (r[2] + r[3])
+        total += (r[4] + r[5]) + (r[6] + r[7])
+        rest = x[n - n % 8 :]
+    for row in rest:
+        total += row
+    return total
 
-    Returns ``(sm2, rough, t, log_p, log_t)``: ``sm2`` is a scalar for a
-    vector and one value per row for a 2-D batch.  A zero entry gives a NaN
-    term unmasked; if any term is NaN, every row is summed with the
-    ``p > 0`` mask, which gives a row without one the bits of its unmasked
-    sum, and ``rough`` flags the NaN terms (``None`` when there are none).
-    Expects NumPy's divide and invalid warnings to be off.
+
+def _scored(p: np.ndarray, columns: bool = False):
+    """Reduced score of each schedule, and the tails and logs that scored it.
+
+    Returns ``(sm2, rough, t, log_p, log_t)``.  By default the schedules lie
+    along the last axis: ``sm2`` is a scalar for a vector and one value per
+    row for a 2-D batch.  With ``columns``, ``p`` is an ``(m, n)`` block of
+    ``n`` schedules, one per column, and ``sm2`` has one value per column,
+    added in the order NumPy's row sum adds a row's entries (from 0.0, then
+    pairwise), so each has the bits of the same schedule scored as a row.
+    A zero entry gives a NaN term, counted as 0; ``rough`` flags the NaN
+    terms (``None`` when there are none).  Expects NumPy's divide and
+    invalid warnings to be off.
     """
     # No simplex check here: the finite-difference oracle evaluates the same
     # formula just off the simplex.  Entries must still be nonnegative.
-    t = _tails(p)
+    t = _tails(p, columns)
     log_p = np.log(p)
     log_t = np.log(t)
     terms = log_p - log_t
@@ -115,9 +149,12 @@ def _scored(p: np.ndarray):
     # looked for entry by entry: a sum along short rows costs several times
     # more, and the lattice blocks of the grid scan all hold zeros
     rough = np.isnan(terms)
-    if not rough.any():
-        return terms.sum(axis=-1), None, t, log_p, log_t
-    return np.where(p > 0.0, terms, 0.0).sum(axis=-1), rough, t, log_p, log_t
+    if rough.any():
+        np.copyto(terms, 0.0, where=rough)
+    else:
+        rough = None
+    sm2 = 0.0 + _pairwise(terms) if columns else terms.sum(axis=-1)
+    return sm2, rough, t, log_p, log_t
 
 
 def _sm2(p: np.ndarray):

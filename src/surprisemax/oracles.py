@@ -28,7 +28,6 @@ from .objective import (
     _scored,
     _sm2,
     as_probability_vector,
-    eval_sm2_batch,
     gradient_sm2,
 )
 from .rng import _MASK64, SplitMix64, _check_seed
@@ -48,12 +47,11 @@ __all__ = [
 # Refuse grids with more lattice points than this.
 GRID_POINT_CAP = 100_000_000
 
-# Rows evaluated per vectorized batch during the grid scan.
-_BATCH_ROWS = 1 << 18
-
-# Entries of one block of ascent starts (64 KiB per array of the block).
-# Blocks this size ran faster than one start at a time at every m measured
-# from 4 to 8000; one block of all nine starts was slower from m = 2000 on.
+# Entries of one block of lattice points or of ascent starts: 64 KiB per
+# array of the block, which keeps it in the core's near caches and each of
+# its temporaries below glibc's mmap threshold.  Ascent blocks this size ran
+# faster than one start at a time at every m measured from 4 to 8000; one
+# block of all nine starts was slower from m = 2000 on.
 _BLOCK_ENTRIES = 8192
 
 
@@ -135,11 +133,14 @@ def _report(
 
 
 def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
-    """Lattice points ``(k_1 .. k_parts)`` summing to ``total``, in blocks.
+    """Lattice points ``(k_1 .. k_parts)`` summing to ``total``, in column blocks.
 
-    Blocks hold at most ``_BATCH_ROWS`` rows and arrive in lexicographic row
-    order: all rows of one block precede all rows of the next, and rows
-    inside a block ascend in ``k_{parts-1}``.
+    Each block is a ``(parts, n)`` float64 array holding ``n`` points, one
+    per column, with at most ``_BLOCK_ENTRIES`` entries (or one point).  The
+    points arrive in lexicographic order: all points of one block precede
+    all points of the next.  A block spans as many prefixes
+    ``(k_1 .. k_{parts-2})`` as fit, the last one possibly cut short and
+    continued in the next block; under one prefix ``k_{parts-1}`` ascends.
     """
     if parts == 1:
         yield np.array([[float(total)]])
@@ -153,14 +154,30 @@ def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
             for rest, left in prefixes(budget - first, length - 1):
                 yield (first,) + rest, left
 
+    def block(heads: list, counts: list) -> np.ndarray:
+        # a head is (prefix..., offset, left): k_{parts-1} = column - offset
+        columns = np.repeat(np.array(heads, dtype=np.float64).T, counts, axis=1)
+        np.subtract(np.arange(columns.shape[1], dtype=np.float64), columns[-2], out=columns[-2])
+        columns[-1] -= columns[-2]
+        return columns
+
+    width = max(1, _BLOCK_ENTRIES // parts)
+    heads: list = []
+    counts: list = []
+    used = 0
     for prefix, left in prefixes(total, parts - 2):
-        for start in range(0, left + 1, _BATCH_ROWS):
-            tail = np.arange(start, min(start + _BATCH_ROWS, left + 1), dtype=np.float64)
-            block = np.empty((tail.size, parts))
-            block[:, : parts - 2] = prefix
-            block[:, parts - 2] = tail
-            block[:, parts - 1] = left - tail
-            yield block
+        start = 0
+        while start <= left:
+            count = min(left + 1 - start, width - used)
+            heads.append((*prefix, used - start, left))
+            counts.append(count)
+            start += count
+            used += count
+            if used == width:
+                yield block(heads, counts)
+                heads, counts, used = [], [], 0
+    if heads:
+        yield block(heads, counts)
 
 
 def _check_grid_points(m: int, resolution: int) -> None:
@@ -176,7 +193,8 @@ def grid_search(
     """Scan every lattice point ``k/N`` of the simplex for the best score.
 
     Deterministic: points are visited in lexicographic order and ties keep
-    the earliest point, so the result does not depend on batching.  The
+    the earliest point, so the result does not depend on blocking; each
+    point scores the bits ``eval_sm2_batch`` gives it as a row.  The
     default agreement tolerance is two lattice steps, ``2 / N``.
     ``_closed_form_point`` is horizon ``m``'s rolled-out schedule, passed by
     a caller that already holds it; it is not public.
@@ -188,14 +206,15 @@ def grid_search(
     minimize = spec.sense is SearchSense.MINIMIZE_SM2
     best_value: float | None = None
     best_point: np.ndarray | None = None
-    for block in _compositions(n, m):
-        rows = block / n
-        values = eval_sm2_batch(rows)
-        i = int(np.argmin(values) if minimize else np.argmax(values))
-        v = float(values[i])
-        if best_value is None or (v < best_value if minimize else v > best_value):
-            best_value = v
-            best_point = rows[i].copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for block in _compositions(n, m):
+            block /= n
+            values = _scored(block, columns=True)[0]
+            i = int(np.argmin(values) if minimize else np.argmax(values))
+            v = float(values[i])
+            if best_value is None or (v < best_value if minimize else v > best_value):
+                best_value = v
+                best_point = block[:, i].copy()
 
     assert best_point is not None and best_value is not None
     tol = 2.0 / n if tolerance is None else float(tolerance)
@@ -209,11 +228,20 @@ def _simplex_draw(rng: SplitMix64, m: int) -> np.ndarray:
     # happen short of 2**-53 flukes per coordinate, but fall back anyway.
     # math.log1p per draw: np.log1p differs in the last ulp on 147,387 of
     # 2,000,000 draws (seed 0, NumPy 2.4.6), which would move every start.
-    draws = np.array([-math.log1p(-u) for u in rng.doubles(m).tolist()])
+    draws = -np.fromiter(map(math.log1p, (-rng.doubles(m)).tolist()), np.float64, m)
     total = draws.sum()
     if total <= 0.0:
         return np.full(m, 1.0 / m)
     return draws / total
+
+
+def _gathered(chosen: list, count: int):
+    """Index of the rows ``chosen`` out of ``count``.
+
+    A slice when that is all of them, so the arrays are read in place rather
+    than gathered into copies.
+    """
+    return slice(None) if len(chosen) == count else np.array(chosen)
 
 
 def _ascend(starts: np.ndarray, config: AscentConfig):
@@ -229,53 +257,72 @@ def _ascend(starts: np.ndarray, config: AscentConfig):
     pass, each at its own iterate, step size and step count.  A run leaves
     the array when it converges, stalls (``eta < 1e-18`` and still lower) or
     takes ``max_iterations`` steps.  Every operation acts along rows, so each
-    run has the bits it would have alone.  A new iterate's gradient is built
-    from the tails and logs that scored it, in ``gradient_sm2``'s operation
-    order.  ``gradient_sm2`` checks each start, and any iterate about to
-    step from a zero or NaN entry, which it then names.
+    run has the bits it would have alone.  Each run's step size, step count
+    and score are Python floats, and its move is decided in a short loop;
+    the settle test, the copy and the next gradient then act on the runs that
+    moved only, so a refused step costs just its candidate's score.  A new
+    iterate's gradient is built from the tails and logs that scored it, in
+    ``gradient_sm2``'s operation order.  ``gradient_sm2`` checks each start,
+    and any iterate about to step from a zero or NaN entry, which it then
+    names.
     """
     p = starts.copy()
     g = np.array([gradient_sm2(row) for row in starts])
-    runs = np.arange(len(starts))
-    eta = np.full(runs.size, config.step_size)
-    steps = np.zeros_like(runs)
-    points, values, converged = np.empty_like(p), np.empty(runs.size), np.zeros(runs.size, bool)
+    count = len(starts)
+    runs = list(range(count))
+    eta = [config.step_size] * count
+    steps = [0] * count
+    points, values, converged = np.empty_like(p), np.empty(count), np.zeros(count, bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        score = -_scored(p)[0]
-        while runs.size:
-            q = p * np.exp(-eta[:, None] * g)
+        score = (-_scored(p)[0]).tolist()
+        while runs:
+            q = p * np.exp(-np.array(eta)[:, None] * g)
             q /= q.sum(axis=1, keepdims=True)
             sm2, rough, t, log_q, log_t = _scored(q)
-            candidate = -sm2
-            tiny = eta < 1e-18
-            lower = candidate < score
-            moved = np.where(tiny, ~lower, candidate >= score)
-            steps += moved
-            settled = moved & (np.abs(q - p).max(axis=1) < config.convergence_tol)
-            done = settled | (tiny & lower) | (steps >= config.max_iterations)
-            np.copyto(p, q, where=moved[:, None])
-            np.copyto(score, candidate, where=moved)
-            eta = np.where(moved, config.step_size, eta * 0.5)
-            walk = (moved & ~done).nonzero()[0]
-            if rough is not None:
-                for i in walk[rough[walk].any(axis=1)]:
-                    gradient_sm2(q[i])
-            # log_q + 1.0 - log_t - cumsum(q / t), in place to bound the
-            # (runs, m) arrays alive at once; this pass's arrays then go
-            log_q += 1.0
-            log_q -= log_t
-            np.divide(q, t, out=t)
-            g[walk] = log_q[walk] - t[walk].cumsum(axis=1)
-            del q, t, log_q, log_t
-            if done.any():
-                ended = runs[done]
-                points[ended] = p[done]
-                values[ended] = score[done]
-                converged[ended] = settled[done]
-                live = ~done
-                p, g, score, eta, steps, runs = (
-                    p[live], g[live], score[live], eta[live], steps[live], runs[live]
-                )
+            # a step is taken when it does not lower the score; no score is
+            # NaN, since ``_scored`` counts NaN terms as 0
+            candidate = (-sm2).tolist()
+            moved = [i for i, c in enumerate(candidate) if c >= score[i]]
+            settled = {}
+            if moved:
+                rows = _gathered(moved, len(runs))
+                taken = q[rows]
+                gaps = np.abs(taken - p[rows]).max(axis=1)
+                settled = dict(zip(moved, (gaps < config.convergence_tol).tolist()))
+                p[rows] = taken
+            walk, ends = [], {}
+            for i in range(len(runs)):
+                if i in settled:
+                    steps[i] += 1
+                    score[i] = candidate[i]
+                    eta[i] = config.step_size
+                    if settled[i] or steps[i] >= config.max_iterations:
+                        ends[i] = settled[i]
+                    else:
+                        walk.append(i)
+                elif eta[i] < 1e-18:
+                    ends[i] = False
+                else:
+                    eta[i] *= 0.5
+            if walk:
+                if rough is not None:
+                    for i in walk:
+                        if rough[i].any():
+                            gradient_sm2(q[i])
+                rows = _gathered(walk, len(runs))
+                ratio = q[rows] / t[rows]
+                grad = log_q[rows] + 1.0
+                grad -= log_t[rows]
+                grad -= ratio.cumsum(axis=1)
+                g[rows] = grad
+            if ends:
+                for i, ok in ends.items():
+                    points[runs[i]] = p[i]
+                    values[runs[i]] = score[i]
+                    converged[runs[i]] = ok
+                live = [i for i in range(len(runs)) if i not in ends]
+                p, g = p[live], g[live]
+                runs, eta, steps, score = [[xs[i] for i in live] for xs in (runs, eta, steps, score)]
     return points, values, converged
 
 

@@ -93,8 +93,11 @@ class TestTailMasses:
         assert_allclose(tail_masses([0.2, 0.3, 0.5]), [1.0, 0.8, 0.5], rtol=1e-15)
 
     def test_rollout3(self):
+        # the frozen schedule's own tails, summed right to left, bit for bit
         t = tail_masses(ROLLOUT3)
-        assert_allclose(t, [1.0, 0.7453536199564175, 0.471153346771739], rtol=1e-12)
+        assert t[2] == ROLLOUT3[2]
+        assert t[1] == ROLLOUT3[2] + ROLLOUT3[1]
+        assert t[0] == t[1] + ROLLOUT3[0]
 
     def test_last_tail_is_last_entry_exactly(self):
         rng = np.random.default_rng(11)

@@ -15,19 +15,26 @@ from surprisemax import (
     SearchSense,
     SplitMix64,
     ascent_optimize,
+    eval_sm2_batch,
     finite_diff_gradient,
     gradient_sm2,
     grid_search,
     rollout,
 )
+from surprisemax import objective as objective_mod
 from surprisemax import oracles as oracles_mod
 
 EXP_NEG1 = math.exp(-1.0)
 
 
+def lattice_rows(total, parts):
+    """Every point of ``_compositions``, one per row, in the order yielded."""
+    return np.concatenate(list(oracles_mod._compositions(total, parts)), axis=1).T
+
+
 class TestCompositionEnumeration:
     def test_exhaustive_and_ordered(self):
-        rows = np.concatenate(list(oracles_mod._compositions(5, 3)))
+        rows = lattice_rows(5, 3)
         assert rows.shape == (math.comb(7, 2), 3)
         assert np.all(rows.sum(axis=1) == 5)
         as_tuples = [tuple(row) for row in rows]
@@ -35,46 +42,104 @@ class TestCompositionEnumeration:
         assert len(set(as_tuples)) == len(as_tuples)
 
     def test_single_part(self):
-        rows = np.concatenate(list(oracles_mod._compositions(9, 1)))
+        rows = lattice_rows(9, 1)
         assert rows.tolist() == [[9.0]]
 
     def test_two_parts(self):
-        rows = np.concatenate(list(oracles_mod._compositions(3, 2)))
+        rows = lattice_rows(3, 2)
         assert rows.tolist() == [[0, 3], [1, 2], [2, 1], [3, 0]]
 
 
 class TestBoundedLattice:
-    """The scan holds at most ``_BATCH_ROWS`` lattice rows at a time."""
+    """The scan holds at most ``_BLOCK_ENTRIES`` lattice entries, or one point, at a time."""
 
     @pytest.mark.parametrize("total, parts", [(20, 1), (20, 2), (20, 3), (9, 4)])
     def test_small_blocks_concatenate_to_lex_order(self, monkeypatch, total, parts):
-        monkeypatch.setattr(oracles_mod, "_BATCH_ROWS", 7)
-        blocks = list(oracles_mod._compositions(total, parts))
-        assert all(block.shape[0] <= 7 for block in blocks)
         expected = [
-            k for k in itertools.product(range(total + 1), repeat=parts) if sum(k) == total
+            list(map(float, k))
+            for k in itertools.product(range(total + 1), repeat=parts)
+            if sum(k) == total
         ]
-        assert np.concatenate(blocks).tolist() == [list(map(float, k)) for k in expected]
+        for entries in (7, 100):
+            monkeypatch.setattr(oracles_mod, "_BLOCK_ENTRIES", entries)
+            blocks = list(oracles_mod._compositions(total, parts))
+            assert all(block.shape[0] == parts for block in blocks)
+            assert all(block.size <= entries or block.shape[1] == 1 for block in blocks)
+            # every block but the last is full
+            width = max(1, entries // parts)
+            assert all(block.shape[1] == width for block in blocks[:-1])
+            if parts >= 3 and entries == 100:
+                # a block spans several prefixes (k_1 .. k_{parts-2})
+                assert any(
+                    len({tuple(col) for col in block[: parts - 2].T}) > 1 for block in blocks
+                )
+            assert np.concatenate(blocks, axis=1).T.tolist() == expected
 
     @pytest.mark.parametrize("sense", list(SearchSense))
     def test_block_size_does_not_change_the_result(self, monkeypatch, sense):
-        spec = GridSpec(60, sense)
-        default = grid_search(3, spec)
-        monkeypatch.setattr(oracles_mod, "_BATCH_ROWS", 7)
-        small = grid_search(3, spec)
-        assert small.best_point.tobytes() == default.best_point.tobytes()
-        assert small.best_value == default.best_value
+        for m, resolution in ((3, 60), (9, 6)):
+            spec = GridSpec(resolution, sense)
+            default = grid_search(m, spec)
+            for entries in (7, 100):
+                with monkeypatch.context() as patch:
+                    patch.setattr(oracles_mod, "_BLOCK_ENTRIES", entries)
+                    small = grid_search(m, spec)
+                assert small.best_point.tobytes() == default.best_point.tobytes(), (m, entries)
+                assert small.best_value == default.best_value, (m, entries)
+
+    @staticmethod
+    def traced_peak(run):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def test_memory_bounded_in_resolution(self):
         # one (N+1) x 2 block would need 69 MB at N = 2e6
-        grid_search(2, GridSpec(100))
-        tracemalloc.start()
-        try:
-            grid_search(2, GridSpec(2_000_000))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 40e6
+        assert self.traced_peak(lambda: grid_search(2, GridSpec(2_000_000))) < 2e6
+
+    def test_memory_bounded_at_the_verify_sizes(self):
+        # a block's arrays hold 64 KiB each, so the peaks stay far below
+        # the 1.2 MB at which freed temporaries move glibc's mmap threshold
+        assert self.traced_peak(lambda: grid_search(3, GridSpec(1000))) < 1.5e6
+        assert self.traced_peak(lambda: ascent_optimize(2000)) < 1.5e6
+
+
+class TestColumnScores:
+    """A column block scores each point with the bits of its row score."""
+
+    @pytest.mark.parametrize("m", [*range(1, 13), 127, 128, 129])
+    def test_equal_to_eval_sm2_batch(self, m):
+        # 8 and 128 entries are where NumPy's row sum changes its order
+        rng = np.random.default_rng(m)
+        rows = rng.dirichlet(np.ones(m), size=50)
+        rows[::3, rng.integers(m, size=17)] = 0.0
+        rows[1] = 0.0
+        rows[1, -1] = 1.0
+        rows[2] = 1.0 / m
+        blocks = [np.ascontiguousarray(rows.T)]
+        resolution = 5 if m <= 12 else 2
+        blocks += [block / resolution for block in oracles_mod._compositions(resolution, m)]
+        for block in blocks:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                values = objective_mod._scored(block, columns=True)[0]
+            expected = eval_sm2_batch(np.ascontiguousarray(block.T))
+            assert values.tobytes() == expected.tobytes()
+
+    def test_grid_equals_a_brute_force_row_scan(self):
+        n = 1000
+        k1, k2 = np.indices((n + 1, n + 1)).reshape(2, -1)
+        inside = k1 + k2 <= n
+        rows = np.column_stack([k1[inside], k2[inside], n - k1[inside] - k2[inside]]) / n
+        assert rows.shape == (501_501, 3)
+        values = eval_sm2_batch(rows)
+        best = int(np.argmin(values))
+        report = grid_search(3, GridSpec(n))
+        assert report.best_point.tobytes() == rows[best].tobytes()
+        assert report.best_value.hex() == float(values[best]).hex()
 
 
 class TestGridSearch:
