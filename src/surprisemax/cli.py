@@ -7,7 +7,12 @@ produce identical bytes.  Exit codes: 0 success, 1 usage error,
 
 Floats are rendered as the shortest decimal string that parses back to the
 same binary64 value, with a bare integer form for whole numbers, so ``1.0``
-prints as ``1``.
+prints as ``1``: ``format_float`` is ``repr`` without a trailing ``.0``.
+Columns of finite values are rendered a run at a time by
+``_floattext.render``, which computes the same digits (Schubfach's shortest
+round-trip decimal) with NumPy integer arithmetic and lays the text out
+without a Python call per entry, so a column prints byte for byte what
+``format_float`` prints.
 """
 
 from __future__ import annotations
@@ -47,17 +52,24 @@ def format_float(x: float) -> str:
 
 
 def format_floats(values) -> list[str]:
-    """``format_float`` of every entry of a 1-D array, in one pass.
+    """``format_float`` of every entry of a 1-D array, in one pass."""
+    text = _render(values)[0]
+    return text.split(", ") if text else []
 
-    Only whole numbers can end in ``.0``, so the suffix is looked for at
-    those entries alone.
+
+def _render(values) -> tuple[str, np.ndarray]:
+    """``", ".join(map(format_float, values))`` and the end of each entry in it.
+
+    A run of finite values is rendered by ``_floattext``, imported on first
+    use, so the subcommands that print scalars alone never build its tables.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    texts = list(map(repr, arr.tolist()))
-    for i in np.flatnonzero(arr == np.trunc(arr)).tolist():
-        if texts[i].endswith(".0"):
-            texts[i] = texts[i][:-2]
-    return texts
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.size and np.isfinite(values).all():
+        from ._floattext import render
+
+        return render(values)
+    texts = list(map(format_float, values.tolist()))
+    return ", ".join(texts), np.cumsum([len(t) + 2 for t in texts], dtype=np.int64) - 2
 
 
 class _UsageError(Exception):
@@ -218,7 +230,7 @@ def _chunks(n: int):
 
 
 def _joined(values: np.ndarray, lo: int, hi: int) -> str:
-    return ", ".join(format_floats(values[lo:hi]))
+    return _render(values[lo:hi])[0]
 
 
 class _SequenceText:
@@ -256,16 +268,16 @@ class _SequenceText:
     def _grown(self, values: np.ndarray) -> tuple[str, np.ndarray]:
         """The text with ``values``, the entries of the next days left, put in front."""
         text, starts = self._rendered
-        pieces, lengths = [], []
+        pieces, nexts, size = [], [], 0
         for lo, hi in _chunks(values.size):
-            texts = format_floats(values[lo:hi])
-            lengths.append(np.fromiter(map(len, texts), np.int32, hi - lo))
-            pieces.append(", ".join(texts))
+            piece, ends = _render(values[lo:hi])
+            # each new entry ends 2 characters (", ") before the next one starts
+            nexts.append(ends + (size + 2))
+            pieces.append(piece)
+            size += len(piece) + 2
         if text:
             pieces.append(text)
-        # the new entries end 2 characters (", ") before the next one starts
-        ends = np.cumsum(np.concatenate(lengths) + 2, dtype=np.int32)
-        return ", ".join(pieces), np.concatenate(([0], ends, starts[1:] + ends[-1]), dtype=np.int32)
+        return ", ".join(pieces), np.concatenate(([0], *nexts, starts[1:] + size), dtype=np.int32)
 
 
 _GAMMA_TEXT = _SequenceText()
@@ -337,7 +349,8 @@ def _render_solve_csv(result: SolveResult):
             format_floats(policy.allocations[lo:hi]),
             format_floats(policy.remaining_before[lo:hi]),
         )
-        yield "".join(map("{},{},{},{},{}\n".format, range(lo + 1, hi + 1), *texts))
+        yield "\n".join(map(",".join, zip(map(str, range(lo + 1, hi + 1)), *texts)))
+        yield "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -146,14 +146,6 @@ def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
         yield np.array([[float(total)]])
         return
 
-    def prefixes(budget: int, length: int):
-        if length == 0:
-            yield (), budget
-            return
-        for first in range(budget + 1):
-            for rest, left in prefixes(budget - first, length - 1):
-                yield (first,) + rest, left
-
     def block(heads: list, counts: list) -> np.ndarray:
         # a head is (prefix..., offset, left): k_{parts-1} = column - offset
         columns = np.repeat(np.array(heads, dtype=np.float64).T, counts, axis=1)
@@ -165,7 +157,11 @@ def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
     heads: list = []
     counts: list = []
     used = 0
-    for prefix, left in prefixes(total, parts - 2):
+    # the prefixes, as an odometer in lexicographic order: ``left`` is what
+    # the prefix leaves of ``total``, ``last`` the place of its last nonzero
+    prefix = [0] * (parts - 2)
+    left, last = total, -1
+    while True:
         start = 0
         while start <= left:
             count = min(left + 1 - start, width - used)
@@ -176,6 +172,19 @@ def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
             if used == width:
                 yield block(heads, counts)
                 heads, counts, used = [], [], 0
+        if left and prefix:
+            # one more on the last place
+            prefix[-1] += 1
+            left -= 1
+            last = len(prefix) - 1
+        elif last > 0:
+            # carry: the last nonzero place goes to 0, the one before it up by 1
+            left = prefix[last] - 1
+            prefix[last] = 0
+            last -= 1
+            prefix[last] += 1
+        else:
+            break
     if heads:
         yield block(heads, counts)
 

@@ -142,7 +142,17 @@ def random_simplex(m, seed):
     return (draws / draws.sum()).tolist()
 
 
+def powers_and_neighbours():
+    """Every finite ``2.0**e`` and ``10.0**e``, the doubles on either side, and their negatives."""
+    powers = np.array([2.0**e for e in range(-1074, 1024)] + [10.0**e for e in range(-323, 309)])
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    values = values[np.isfinite(values)]
+    return np.concatenate([values, -values])
+
+
 class TestFormatFloats:
+    """``format_floats`` and the renderer under it print what ``repr`` prints."""
+
     def test_edge_values(self):
         values = EDGE_VALUES + [-x for x in EDGE_VALUES]
         assert format_floats(np.array(values)) == [format_float(x) for x in values]
@@ -150,6 +160,69 @@ class TestFormatFloats:
     @given(arrays(np.float64, st.integers(0, 40), elements=st.floats(allow_nan=False, allow_infinity=False)))
     def test_matches_scalar_formatter(self, arr):
         assert format_floats(arr) == [format_float(x) for x in arr]
+
+    # any 64-bit pattern, and subnormals and zeros of either sign more often
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(0, 2**64 - 1),
+                st.integers(0, 2**52),
+                st.integers(2**63, 2**63 + 2**52),
+            ),
+            max_size=60,
+        )
+    )
+    def test_any_finite_bit_pattern(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)]
+        assert format_floats(values) == [format_float(x) for x in values]
+
+    def test_powers_and_their_neighbours(self):
+        values = powers_and_neighbours()
+        assert format_floats(values) == [format_float(x) for x in values]
+
+    def test_witnesses(self):
+        texts = {
+            8e-323: "8e-323",
+            5e-324: "5e-324",
+            2.2250738585072014e-308: "2.2250738585072014e-308",
+            1e23: "1e+23",
+            9.999999999999999e-05: "9.999999999999999e-05",
+            1e-05: "1e-05",
+            0.0001: "0.0001",
+            1e16: "1e+16",
+            1e15: "1000000000000000",
+            1.7976931348623157e308: "1.7976931348623157e+308",
+            123.0: "123",
+            0.1: "0.1",
+            -0.0: "-0",
+        }
+        assert format_floats(np.array(list(texts))) == list(texts.values())
+        assert list(texts.values()) == [format_float(x) for x in texts]
+
+    def test_non_finite_entries(self):
+        values = [float("nan"), float("inf"), 0.5, float("-inf")]
+        assert format_floats(np.array(values)) == ["nan", "inf", "0.5", "-inf"]
+
+    def test_entry_ends(self):
+        values = np.concatenate([powers_and_neighbours()[::7], [0.0, -0.0, 1.0]])
+        texts = [format_float(x) for x in values]
+        text, ends = cli._render(values)
+        assert text == ", ".join(texts)
+        assert ends.tolist() == (np.cumsum([len(t) + 2 for t in texts]) - 2).tolist()
+        assert cli._render(np.zeros(0))[0] == ""
+
+    def test_run_memory(self):
+        # one run of the longest entries: 24 characters and a negative exponent
+        run = -np.random.default_rng(5).random(cli._CHUNK) * 1e-300
+        cli._render(run)
+        tracemalloc.start()
+        try:
+            cli._render(run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
 
 
 class TestSolveBytes:
@@ -265,8 +338,8 @@ class TestSharedText:
         # 5000 gamma (and hazard) entries; the rest are read from the kept text
         run_main(capsys, "solve", "--days", str(CAP), "--format", fmt)
         formatted = []
-        format_all = cli.format_floats
-        monkeypatch.setattr(cli, "format_floats", lambda v: formatted.append(len(v)) or format_all(v))
+        render = cli._render
+        monkeypatch.setattr(cli, "_render", lambda v: formatted.append(len(v)) or render(v))
         m = CAP + 5000
         code, out, err = run_main(capsys, "solve", "--days", str(m), "--format", fmt)
         assert (code, err) == (0, "")

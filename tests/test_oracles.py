@@ -49,6 +49,28 @@ class TestCompositionEnumeration:
         rows = lattice_rows(3, 2)
         assert rows.tolist() == [[0, 3], [1, 2], [2, 1], [3, 0]]
 
+    def test_more_parts_than_the_recursion_limit(self):
+        # a prefix of 1198 places: the unit points, last place first
+        assert np.array_equal(lattice_rows(1, 1200), np.eye(1200)[::-1])
+
+    def test_many_parts_match_itertools(self):
+        # the points are the multisets of 2 places among 300, each written
+        # out as one byte per place, in lexicographic order
+        def point(places):
+            counts = bytearray(300)
+            for place in places:
+                counts[place] += 1
+            return bytes(counts)
+
+        expected = sorted(map(point, itertools.combinations_with_replacement(range(300), 2)))
+        done = 0
+        for block in oracles_mod._compositions(2, 300):
+            n = block.shape[1]
+            want = np.frombuffer(b"".join(expected[done : done + n]), dtype=np.uint8)
+            assert np.array_equal(block.T, want.reshape(n, 300))
+            done += n
+        assert done == len(expected) == math.comb(301, 2)
+
 
 class TestBoundedLattice:
     """The scan holds at most ``_BLOCK_ENTRIES`` lattice entries, or one point, at a time."""
