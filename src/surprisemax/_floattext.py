@@ -185,6 +185,7 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def render(values: np.ndarray) -> tuple[str, np.ndarray]:
     """The text of the finite float64 ``values``, entries joined by ``", "``,
     and the end of each entry in it."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
     # the rows are built by a call of their own, so that every array of the
     # build is freed before the text is copied out
     buffer, ends = _rows(values)
