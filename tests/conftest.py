@@ -3,7 +3,8 @@
 ``pythonpath`` in pyproject.toml puts ``src`` on this process's import path
 only; the CLI tests start fresh interpreters, which read ``PYTHONPATH``.
 The ``cold_sequence`` fixture starts a test from the solver's shared
-sequence as a fresh process has it.
+sequence as a fresh process has it, and ``cold_text`` from that and the
+CLI's kept text of it.
 """
 
 import os
@@ -11,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from surprisemax import solver
+from surprisemax import cli, solver
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 _paths = os.environ.get("PYTHONPATH", "").split(os.pathsep)
@@ -25,3 +26,9 @@ def cold_sequence(monkeypatch):
     for arr in fresh:
         arr.setflags(write=False)
     monkeypatch.setattr(solver, "_shared", fresh)
+
+
+@pytest.fixture
+def cold_text(cold_sequence, monkeypatch):
+    for store in (cli._GAMMA_TEXT, cli._HAZARD_TEXT):
+        monkeypatch.setattr(store, "_rendered", cli._SequenceText()._rendered)

@@ -271,13 +271,6 @@ def cold_table(lo, hi, fmt):
     return ("\n" if fmt == "csv" else "").join(blocks)
 
 
-@pytest.fixture
-def cold_text(cold_sequence, monkeypatch):
-    """The solver's shared sequence and the CLI's text of it, as a fresh process starts them."""
-    for store in (cli._GAMMA_TEXT, cli._HAZARD_TEXT):
-        monkeypatch.setattr(store, "_rendered", cli._SequenceText()._rendered)
-
-
 @given(st.integers(0, 40 * cli._CHUNK))
 def test_chunks_counted_from_the_end(n):
     runs = list(cli._chunks(n))
