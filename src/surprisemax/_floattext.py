@@ -3,7 +3,11 @@
 ``render(values)`` gives the text of ``", ".join(map(format_float,
 values))`` for a 1-D run of finite float64 values, with the end of each
 entry in it, and makes no Python call per entry; ``format_float`` is
-``repr`` without a trailing ``.0`` (see :mod:`.cli`).
+``repr`` without a trailing ``.0`` (see :mod:`.cli`).  ``entries(values)``
+gives the same text before the zeros are dropped, one fixed-width row of
+bytes per entry, for callers that lay the rows out among other fields and
+drop the zeros once; ``integers(first, last)`` gives rows of decimal digits
+the same way.
 
 The digits come from Schubfach (R. Giulietti, "The Schubfach way to render
 doubles", 2020): the shortest decimal inside the value's rounding interval,
@@ -15,8 +19,8 @@ from 32-bit halves.  Java's ``Double.toString`` keeps at least two digits;
 here one is enough, as in ``repr`` (``8e-323``, not ``7.9e-323``).
 
 The text of each entry is laid out in a fixed row of bytes, zero where the
-entry has no character, and one ``translate`` drops the zeros of the whole
-run.  The layout follows ``repr``: the exponent form when the decimal point
+entry has no character, and ``render`` drops the zeros of the whole run with
+one ``translate``.  The layout follows ``repr``: the exponent form when the decimal point
 would sit more than 4 places left of the first digit or more than 16 right
 of it, at least two exponent digits, and whole numbers bare (``1``, not
 ``1.0``), as ``format_float`` prints them.
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["render"]
+__all__ = ["ENTRY_BYTES", "entries", "integers", "render"]
 
 _U = np.uint64
 _MASK32 = _U(0xFFFF_FFFF)
@@ -68,6 +72,8 @@ _DIGITS4 = _DIGITS4.view(np.uint32).ravel()
 _POW10 = np.array([10**i for i in range(18)], dtype=np.uint64)
 
 _ROW_BYTES = 56
+# the bytes of a row before its separator
+ENTRY_BYTES = 52
 
 
 def _layouts():
@@ -182,20 +188,46 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, k
 
 
+def integers(first: int, last: int) -> np.ndarray:
+    """The integers ``first..last`` (``1 <= first <= last``) in decimal, in
+    rows of ``len(str(last))`` bytes, right-aligned, zero before the digits."""
+    numbers = np.arange(first, last + 1, dtype=np.int64)
+    width = len(str(last))
+    words = -(-width // 4)
+    fours = np.empty((numbers.size, words), dtype=np.uint32)
+    for word in range(words):
+        fours[:, words - 1 - word] = _DIGITS4.take(numbers // 10 ** (4 * word) % 10_000)
+    rows = fours.view(np.uint8)[:, 4 * words - width :]
+    # the numbers ascend: those below 10^place, a first run of them, have
+    # no digit in the column of 10^place
+    for column in range(width - 1):
+        rows[: max(0, 10 ** (width - 1 - column) - first), column] = 0
+    return rows
+
+
 def render(values: np.ndarray) -> tuple[str, np.ndarray]:
     """The text of the finite float64 ``values``, entries joined by ``", "``,
     and the end of each entry in it."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
     # the rows are built by a call of their own, so that every array of the
     # build is freed before the text is copied out
-    buffer, ends = _rows(values)
+    buffer, lengths = _rows(values)
+    # no separator after the last entry
+    buffer[-4:-2] = b"\0\0"
     text = buffer.translate(None, b"\0")
     del buffer
-    return text.decode("ascii"), ends
+    return text.decode("ascii"), np.cumsum(lengths) - 2
+
+
+def entries(values: np.ndarray) -> np.ndarray:
+    """The text of each of the finite float64 ``values`` in a row of
+    ``ENTRY_BYTES`` bytes, zero where it has no character."""
+    return np.frombuffer(_rows(values)[0], dtype=np.uint8).reshape(-1, _ROW_BYTES)[:, :ENTRY_BYTES]
 
 
 def _rows(values: np.ndarray) -> tuple[bytearray, np.ndarray]:
-    """The rows of the finite ``values``, and the end of each entry's text."""
+    """The rows of the finite ``values``, each entry followed by ``", "``, and
+    the length of each row's text."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
     n = values.size
     bits = values.view(np.uint64) & _MASK63
     zero = bits == _U(0)
@@ -233,6 +265,4 @@ def _rows(values: np.ndarray) -> tuple[bytearray, np.ndarray]:
             words[:, word] &= four
     rows[:, 47] &= np.where(point < 1, ord("-"), ord("+")).astype(np.uint8)
     words[:, 12] &= _DIGITS4.take(exponent)
-    # no separator after the last entry
-    rows[-1, 52:54] = 0
-    return buffer, np.cumsum(_LENGTHS.take(layout)) - 2
+    return buffer, _LENGTHS.take(layout)

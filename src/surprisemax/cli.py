@@ -8,11 +8,18 @@ produce identical bytes.  Exit codes: 0 success, 1 usage error,
 Floats are rendered as the shortest decimal string that parses back to the
 same binary64 value, with a bare integer form for whole numbers, so ``1.0``
 prints as ``1``: ``format_float`` is ``repr`` without a trailing ``.0``.
-Columns of finite values are rendered a run at a time by
-``_floattext.render``, which computes the same digits (Schubfach's shortest
-round-trip decimal) with NumPy integer arithmetic and lays the text out
-without a Python call per entry, so a column prints byte for byte what
+Columns of finite values are rendered a run at a time by ``_floattext``,
+which computes the same digits (Schubfach's shortest round-trip decimal)
+with NumPy integer arithmetic, so a column prints byte for byte what
 ``format_float`` prints.
+
+No Python call is made per row.  Each entry's text sits in a fixed-width
+field of bytes, zero where it has no character: the padded rows of
+``_floattext.entries``, the kept gamma and hazard fields of
+``_SequenceText``, and the day numbers of ``_floattext.integers``.  A CSV
+run of up to ``_CHUNK`` rows places its fields and separator bytes side by
+side in one byte array, and one ``bytearray.translate`` drops the zeros
+(``_laid_out``); a kept JSON ``gamma`` run is its fields and ``", "``.
 """
 
 from __future__ import annotations
@@ -27,13 +34,8 @@ from .objective import as_probability_vector, gradient_sm2, objective_values, ta
 from .oracles import AscentConfig, GridSpec, _check_grid_points, grid_search, ascent_optimize
 from .rng import _check_seed
 from .simulate import SimulationConfig, estimate_expected_surprise
-from .solver import (
-    _RETAINED_DAYS,
-    SolveResult,
-    _stationarity,
-    _telescope_residuals,
-    rollout,
-)
+from . import solver
+from .solver import SolveResult, _stationarity, _telescope_residuals, rollout
 
 __all__ = ["main", "format_float", "format_floats"]
 
@@ -220,64 +222,116 @@ def load_distribution(path: str) -> np.ndarray:
 # rendering
 
 # Long columns are rendered this many entries at a time, so no full column
-# of strings is ever held at once.  Runs are counted from the column's end,
-# short run first, so the _RETAINED_DAYS kept days are a whole number of runs.
+# of text is ever held at once.  Runs are counted from the column's end,
+# short run first, so the kept days (``_kept_days``) are a whole number of runs.
 _CHUNK = 4096
+# the longest text of a float64, as in -2.2250738585072014e-308
+_FIELD_BYTES = 24
 
 
 def _chunks(n: int):
     return ((max(0, hi - _CHUNK), hi) for hi in range(n % _CHUNK or _CHUNK, n + 1, _CHUNK))
 
 
+def _kept_days() -> int:
+    """The solver's cap on its kept days, read when called: a whole number of runs."""
+    cap = solver._RETAINED_DAYS
+    if cap % _CHUNK:
+        raise RuntimeError(f"{cap} kept days are not a whole number of {_CHUNK}-day runs")
+    return cap
+
+
 def _joined(values: np.ndarray, lo: int, hi: int) -> str:
     return _render(values[lo:hi])[0]
+
+
+def _padded(values) -> np.ndarray:
+    """The text of each entry of a 1-D array in a row of bytes, zero where it has no character.
+
+    A run of finite values is laid out by ``_floattext.entries``; any other
+    run is ``format_float`` of each entry, left-aligned in ``_FIELD_BYTES``.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.size and np.isfinite(values).all():
+        from ._floattext import entries
+
+        return entries(values)
+    texts = [format_float(x).encode("ascii") for x in values.tolist()]
+    return np.array(texts, dtype=f"S{_FIELD_BYTES}").view(np.uint8).reshape(-1, _FIELD_BYTES)
+
+
+def _left_aligned(values: np.ndarray) -> np.ndarray:
+    """The text of each entry at the start of a row of ``_FIELD_BYTES``, zero after it."""
+    text, ends = _render(values)
+    lengths = np.diff(ends, prepend=-2) - 2
+    columns = np.arange(_FIELD_BYTES)
+    chars = np.frombuffer(text.encode("ascii") + bytes(_FIELD_BYTES), dtype=np.uint8)
+    return np.where(columns < lengths[:, None], chars[(ends - lengths)[:, None] + columns], np.uint8(0))
+
+
+def _day_digits(lo: int, hi: int) -> np.ndarray:
+    """The days ``lo + 1 .. hi`` in decimal, right-aligned in rows of bytes, zero before them."""
+    from ._floattext import integers
+
+    return integers(lo + 1, hi)
+
+
+def _laid_out(n: int, blocks: list) -> str:
+    """The text of ``n`` rows, each the rows of ``blocks`` side by side, zero bytes dropped.
+
+    A block is an ``(n, width)`` ``uint8`` array, zero where it has no
+    character, or ``bytes`` put in every row.  The list is emptied once its
+    blocks are placed, so fields made for this call alone are freed before
+    the text is made: one ``translate`` of the whole run.
+    """
+    blocks[:] = [np.frombuffer(b, dtype=np.uint8) if isinstance(b, bytes) else b for b in blocks]
+    ends = np.cumsum([block.shape[-1] for block in blocks]).tolist()
+    buffer = bytearray(n * ends[-1])
+    rows = np.frombuffer(buffer, dtype=np.uint8).reshape(n, ends[-1])
+    for block, end in zip(blocks, ends):
+        rows[:, end - block.shape[-1] : end] = block
+    del rows, block
+    blocks.clear()
+    text = buffer.translate(None, b"\0")
+    del buffer
+    return text.decode("ascii")
 
 
 class _SequenceText:
     """Rendered text of one column of the solver's shared backward sequence.
 
-    The text keeps the column's entries in the solver's descending order of
-    days left ``k`` as one ``", "``-joined string, with the start of each
-    entry and one past the last, so any run of days of any horizon is one
-    slice.  It grows lazily to the days asked for, up to the solver's cap,
-    rendering the new entries from the asking horizon's own column in
-    ``_CHUNK``-entry pieces; a run that reaches further back is rendered on
-    each use.  A growth copies about 25 B per stored day, far less than the
-    rendering of the horizon that asks for it.  The text takes about 19.5 B
-    per day for gamma and 23.5 B for the hazard, the starts 4 B.
+    Each entry's text is kept at the start of a row of ``_FIELD_BYTES``
+    bytes, zero after it, in the solver's descending order of days left
+    ``k``, so any run of days of any horizon is a slice of rows.  The rows
+    grow lazily to the days asked for, up to the solver's cap, rendered from
+    the asking horizon's own column in ``_CHUNK``-entry pieces; a run that
+    reaches further back is rendered on each use.  A growth copies the 24 B
+    of each stored day, far less than the rendering of the horizon that asks
+    for it.
     """
 
     def __init__(self):
-        # (text, starts), read and rebound whole like the solver's sequence;
-        # the starts fit int32: an entry is at most 24 characters
-        self._rendered = ("", np.zeros(1, dtype=np.int32))
+        # read and rebound whole like the solver's sequence
+        self._fields = np.zeros((0, _FIELD_BYTES), dtype=np.uint8)
+
+    def fields(self, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The rows of entries ``lo..hi`` of ``values``, this column of one horizon."""
+        m = values.size
+        if m - lo > _kept_days():
+            return _padded(values[lo:hi])
+        fields = self._fields
+        stored = len(fields)
+        if stored < m - lo:
+            new = values[lo : m - stored]
+            pieces = [_left_aligned(new[a:b]) for a, b in _chunks(new.size)]
+            fields = self._fields = np.concatenate([*pieces, fields])
+            stored = m - lo
+        # day i (from 0) has k = m-1-i days left, row stored-m+i
+        return fields[lo + stored - m : hi + stored - m]
 
     def joined(self, values: np.ndarray, lo: int, hi: int) -> str:
         """``_joined(values, lo, hi)`` for ``values``, this column of one horizon."""
-        m = values.size
-        if m - lo > _RETAINED_DAYS:
-            return _joined(values, lo, hi)
-        text, starts = self._rendered
-        stored = starts.size - 1
-        if stored < m - lo:
-            text, starts = self._rendered = self._grown(values[lo : m - stored])
-            stored = m - lo
-        # day i (from 0) has k = m-1-i days left, entry stored-m+i of the text
-        return text[starts[lo + stored - m] : starts[hi + stored - m] - 2]
-
-    def _grown(self, values: np.ndarray) -> tuple[str, np.ndarray]:
-        """The text with ``values``, the entries of the next days left, put in front."""
-        text, starts = self._rendered
-        pieces, nexts, size = [], [], 0
-        for lo, hi in _chunks(values.size):
-            piece, ends = _render(values[lo:hi])
-            # each new entry ends 2 characters (", ") before the next one starts
-            nexts.append(ends + (size + 2))
-            pieces.append(piece)
-            size += len(piece) + 2
-        if text:
-            pieces.append(text)
-        return ", ".join(pieces), np.concatenate(([0], *nexts, starts[1:] + size), dtype=np.int32)
+        return _laid_out(hi - lo, [self.fields(values, lo, hi), b", "])[:-2]
 
 
 _GAMMA_TEXT = _SequenceText()
@@ -294,9 +348,9 @@ def _json_list(values: np.ndarray, joined=_joined):
 
 def _csv_field_lines(name: str, values: np.ndarray):
     """``name_j,value`` lines of a ``field,value`` CSV, ``j`` from 1."""
-    line = name + "_{},{}\n"
+    prefix = f"{name}_".encode("ascii")
     for lo, hi in _chunks(values.size):
-        yield "".join(map(line.format, range(lo + 1, hi + 1), format_floats(values[lo:hi])))
+        yield _laid_out(hi - lo, [prefix, _day_digits(lo, hi), b",", _padded(values[lo:hi]), b"\n"])
 
 
 def _render_fields(fields, fmt: str, end: str = "\n"):
@@ -343,14 +397,16 @@ def _render_solve_csv(result: SolveResult):
     policy = result.policy
     yield "j,gamma,hazard,p,remaining_before\n"
     for lo, hi in _chunks(policy.m):
-        texts = (
-            _GAMMA_TEXT.joined(policy.gamma, lo, hi).split(", "),
-            _HAZARD_TEXT.joined(policy.hazard, lo, hi).split(", "),
-            format_floats(policy.allocations[lo:hi]),
-            format_floats(policy.remaining_before[lo:hi]),
+        yield _laid_out(
+            hi - lo,
+            [
+                _day_digits(lo, hi), b",",
+                _GAMMA_TEXT.fields(policy.gamma, lo, hi), b",",
+                _HAZARD_TEXT.fields(policy.hazard, lo, hi), b",",
+                _padded(policy.allocations[lo:hi]), b",",
+                _padded(policy.remaining_before[lo:hi]), b"\n",
+            ],
         )
-        yield "\n".join(map(",".join, zip(map(str, range(lo + 1, hi + 1)), *texts)))
-        yield "\n"
 
 
 # ---------------------------------------------------------------------------

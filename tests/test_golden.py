@@ -6,14 +6,17 @@ replay of the recursion and the rollout, rendered field by field with
 ``PolicyTable`` arrays must carry exactly the same bits.
 """
 
+import contextlib
+import io
 import json
 import math
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -286,13 +289,29 @@ def test_chunks_counted_from_the_end(n):
     assert CAP % cli._CHUNK == 0
 
 
+def test_kept_days_are_whole_runs(monkeypatch):
+    assert cli._kept_days() == CAP
+    monkeypatch.setattr(solver_mod, "_RETAINED_DAYS", CAP + cli._CHUNK // 2)
+    with pytest.raises(RuntimeError, match="whole number"):
+        cli._kept_days()
+
+
 class TestSharedText:
-    """Stdout read from the kept gamma/hazard text equals a cold rendering."""
+    """Stdout read from the kept gamma/hazard text equals a cold rendering.
+
+    ``TestSharedTextSmall`` runs every case again at the small kept state of
+    the ``small_kept`` fixture.
+    """
+
+    @pytest.fixture
+    def days(self, cold_text):
+        """The day counts of this size, from those of the full-size cases."""
+        return lambda n: n
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_after_a_longer_horizon(self, cold_text, capsys, fmt):
-        run_main(capsys, "solve", "--days", str(CAP + 2), "--format", fmt)
-        for m in (CAP + 1, 4097, CAP - 1, 4095, CAP, 4096):
+    def test_after_a_longer_horizon(self, days, capsys, fmt):
+        run_main(capsys, "solve", "--days", str(days(CAP + 2)), "--format", fmt)
+        for m in map(days, (CAP + 1, 4097, CAP - 1, 4095, CAP, 4096)):
             code, out, err = run_main(capsys, "solve", "--days", str(m), "--format", fmt)
             assert (code, err) == (0, "")
             assert_same_lines(out, cold_solve(m, fmt))
@@ -301,45 +320,156 @@ class TestSharedText:
     @pytest.mark.parametrize(
         "first, lo, hi", [(10, 4094, 4098), (4096, 4094, 4098), (CAP - 2, CAP - 1, CAP + 1)]
     )
-    def test_span_that_grows_the_text(self, cold_text, capsys, fmt, first, lo, hi):
+    def test_span_that_grows_the_text(self, days, capsys, fmt, first, lo, hi):
+        first, lo, hi = map(days, (first, lo, hi))
         run_main(capsys, "solve", "--days", str(first), "--format", fmt)
         code, out, err = run_main(capsys, "table", "--days", f"{lo}..{hi}", "--format", fmt)
         assert (code, err) == (0, "")
         assert_same_lines(out, cold_table(lo, hi, fmt))
 
-    def test_retention_capped(self, cold_text):
-        # at most 76 B per kept day: per column an entry of at most 24
-        # characters, its ", " and a 4-byte start, and 16 B in the solver
+    def test_retention_capped(self, days):
+        # per kept day a 24-byte field per column and 16 B in the solver: 64 B,
+        # 64.06 B measured at the full size; 4 KiB for the arrays' headers and
+        # small objects, most of it at the small size
+        cap = days(CAP)
         stores = (cli._GAMMA_TEXT, cli._HAZARD_TEXT)
         tracemalloc.start()
         try:
-            policy = rollout(2 * CAP).policy
+            policy = rollout(2 * cap).policy
             for store, column in zip(stores, (policy.gamma, policy.hazard)):
                 for lo, hi in cli._chunks(column.size):
-                    store.joined(column, lo, hi)
+                    store.fields(column, lo, hi)
             del policy, column
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         for store in stores:
-            assert store._rendered[1].size == CAP + 1
-        assert retained <= 76 * CAP
+            assert store._fields.shape == (cap, cli._FIELD_BYTES)
+        assert retained <= 66 * cap + 4096
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_past_the_cap_renders_only_the_extra_days(self, cold_text, capsys, monkeypatch, fmt):
+    def test_past_the_cap_renders_only_the_extra_days(self, days, capsys, monkeypatch, fmt):
         # after a horizon at the cap, one 5000 days longer formats its first
-        # 5000 gamma (and hazard) entries; the rest are read from the kept text
-        run_main(capsys, "solve", "--days", str(CAP), "--format", fmt)
+        # 5000 gamma (and hazard) entries; the rest are read from the kept rows
+        run_main(capsys, "solve", "--days", str(days(CAP)), "--format", fmt)
         formatted = []
-        render = cli._render
-        monkeypatch.setattr(cli, "_render", lambda v: formatted.append(len(v)) or render(v))
-        m = CAP + 5000
+        for name in ("_render", "_padded"):
+            render = getattr(cli, name)
+            counted = lambda v, render=render: formatted.append(len(v)) or render(v)
+            monkeypatch.setattr(cli, name, counted)
+        m = days(CAP + 5000)
+        extra = m - days(CAP)
         code, out, err = run_main(capsys, "solve", "--days", str(m), "--format", fmt)
         assert (code, err) == (0, "")
         # p, and remaining_before in CSV, are rendered per horizon
-        per_horizon, kept = (2 * m, 2 * 5000) if fmt == "csv" else (m, 5000)
+        per_horizon, kept = (2 * m, 2 * extra) if fmt == "csv" else (m, extra)
         assert sum(formatted) == per_horizon + kept
         assert_same_lines(out, cold_solve(m, fmt))
+
+
+class TestSharedTextSmall(TestSharedText):
+    @pytest.fixture
+    def days(self, small_kept):
+        return small_kept
+
+
+def field_lines_reference(name, values):
+    return "".join(f"{name}_{j},{format_float(x)}\n" for j, x in enumerate(values, 1))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestRowLayout:
+    """CSV runs laid out from byte fields equal the per-row ``format_float`` text."""
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (0, 12),
+            (0, cli._CHUNK),
+            (95, 105),
+            (9990, 10010),
+            (99_990, 100_010),
+            (999_990, 1_000_010),
+            (9_999_990, 10_000_010),
+            (99_999_995, 100_000_005),
+        ],
+    )
+    def test_day_numbers_across_widths(self, lo, hi):
+        text = cli._laid_out(hi - lo, [cli._day_digits(lo, hi), b"\n"])
+        assert text == "".join(f"{j}\n" for j in range(lo + 1, hi + 1))
+
+    @given(arrays(np.float64, st.integers(1, 40), elements=finite | st.sampled_from([0.0, 1.0])))
+    def test_field_lines_in_short_runs(self, values):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_CHUNK", 8)
+            assert "".join(cli._csv_field_lines("p", values)) == field_lines_reference("p", values)
+
+    def test_field_lines_across_day_widths(self):
+        # full-size runs over j = 9/10, 99/100, 999/1000 and 9999/10000, every
+        # fifth entry 0
+        values = np.array(random_simplex(10_005, seed=4))
+        values[::5] = 0.0
+        values /= values.sum()
+        for name, column in (("p", values), ("tail", tail_masses(values))):
+            lines = "".join(cli._csv_field_lines(name, column))
+            assert_same_lines(lines, field_lines_reference(name, column))
+
+    def test_non_finite_column_falls_back(self):
+        values = np.array([math.nan, math.inf, 0.5, -math.inf, -0.0, 5e-324])
+        assert cli._padded(values).shape == (values.size, cli._FIELD_BYTES)
+        assert "".join(cli._csv_field_lines("x", values)) == field_lines_reference("x", values)
+        assert format_floats(values) == list(map(format_float, values))
+
+    def test_solve_rows_across_the_cap_and_six_digit_days(self, cold_text, capsys):
+        m = CAP + 34_474
+        code, out, err = run_main(capsys, "solve", "--days", str(m), "--format", "csv")
+        assert (code, err) == (0, "")
+        policy = rollout(m).policy
+        columns = (policy.gamma, policy.hazard, policy.allocations, policy.remaining_before)
+        rows = zip(map(str, range(1, m + 1)), *(map(format_float, c.tolist()) for c in columns))
+        assert_same_lines(out, "j,gamma,hazard,p,remaining_before\n" + "".join(",".join(r) + "\n" for r in rows))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from([(16, 4), (24, 8), (64, 8), (64, 64)]),
+        st.lists(st.integers(1, 100), min_size=1, max_size=4),
+        st.sampled_from(["csv", "json"]),
+    )
+    def test_kept_fields_across_the_cap(self, kept, horizons, fmt):
+        cap, run = kept
+        fresh = (np.zeros(1), np.zeros(0))
+        for arr in fresh:
+            arr.setflags(write=False)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver_mod, "_RETAINED_DAYS", cap)
+            patch.setattr(cli, "_CHUNK", run)
+            patch.setattr(solver_mod, "_shared", fresh)
+            for store in (cli._GAMMA_TEXT, cli._HAZARD_TEXT):
+                patch.setattr(store, "_fields", cli._SequenceText()._fields)
+            for m in horizons:
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    assert main(["solve", "--days", str(m), "--format", fmt]) == 0
+                assert_same_lines(out.getvalue(), cold_solve(m, fmt))
+
+    def test_csv_run_memory(self, cold_text):
+        # one run of the longest entries in every float column; the kept
+        # rows are grown by the first pass
+        run = -np.random.default_rng(5).random(cli._CHUNK) * 1e-300
+        policy = types.SimpleNamespace(
+            m=run.size, gamma=run, hazard=run, allocations=run, remaining_before=run
+        )
+        result = types.SimpleNamespace(policy=policy)
+        list(cli._render_solve_csv(result))
+        tracemalloc.start()
+        try:
+            for _ in cli._render_solve_csv(result):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
 
 
 EVAL_VECTORS = {

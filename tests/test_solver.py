@@ -426,9 +426,18 @@ def frozen(values):
 
 
 class TestSharedSequence:
-    def test_every_horizon_bit_equal_to_replay(self, cold_sequence):
-        replays = {m: replay_columns(m) for m in set(SHARED_ORDER)}
-        for m in SHARED_ORDER:
+    """``TestSharedSequenceSmall`` runs every case again at the small kept
+    state of the ``small_kept`` fixture."""
+
+    @pytest.fixture
+    def days(self, cold_sequence):
+        """The day counts of this size, from those of the full-size cases."""
+        return lambda n: n
+
+    def test_every_horizon_bit_equal_to_replay(self, days):
+        order = list(map(days, SHARED_ORDER))
+        replays = {m: replay_columns(m) for m in set(order)}
+        for m in order:
             res = rollout(m)
             expected = replays[m]
             columns = {
@@ -446,33 +455,40 @@ class TestSharedSequence:
             assert values.flags.c_contiguous and not values.flags.writeable
 
     @pytest.mark.parametrize("m", [1, 2, 3, 50, 4999])
-    def test_shift_invariant_replay(self, m):
+    def test_shift_invariant_replay(self, days, m):
         # the twin of TestGammaSequence.test_shift_invariant, which compares
         # two views of the one shared sequence: here each horizon is checked
         # against its own replay, and the replays against each other
-        horizon = 5000
+        horizon, m = days(5000), days(m)
         expected = replay_columns(m)["sequence"]
         assert expected == replay_columns(horizon)["sequence"][horizon - m :]
         assert gamma_sequence(m).values.tobytes() == frozen(expected).tobytes()
         assert rollout(m).policy.hazard.tolist() == replay_columns(m)["hazard"]
 
-    def test_growth_leaves_returned_columns_alone(self, cold_sequence):
+    def test_growth_leaves_returned_columns_alone(self, days):
         small = rollout(5)
         before = [small.gamma.values.tobytes(), small.policy.hazard.tobytes()]
-        rollout(CAP)
-        rollout(2 * CAP)
+        rollout(days(CAP))
+        rollout(days(2 * CAP))
         assert [small.gamma.values.tobytes(), small.policy.hazard.tobytes()] == before
 
-    def test_retention_capped(self, cold_sequence):
+    def test_retention_capped(self, days):
         # 16 B per kept day (one gamma, one hazard); past the cap the rest of
         # a long horizon is dropped with its result
+        cap = days(CAP)
         rollout(1)
         tracemalloc.start()
         try:
-            rollout(2 * CAP)
+            rollout(2 * cap)
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         gamma, hazard = solver_mod._shared
-        assert (gamma.size, hazard.size) == (CAP + 1, CAP)
-        assert retained <= 16 * CAP + 4096
+        assert (gamma.size, hazard.size) == (cap + 1, cap)
+        assert retained <= 16 * cap + 4096
+
+
+class TestSharedSequenceSmall(TestSharedSequence):
+    @pytest.fixture
+    def days(self, small_kept):
+        return small_kept
