@@ -19,11 +19,11 @@ from 32-bit halves.  Java's ``Double.toString`` keeps at least two digits;
 here one is enough, as in ``repr`` (``8e-323``, not ``7.9e-323``).
 
 The text of each entry is laid out in a fixed row of bytes, zero where the
-entry has no character, and ``render`` drops the zeros of the whole run with
-one ``translate``.  The layout follows ``repr``: the exponent form when the decimal point
-would sit more than 4 places left of the first digit or more than 16 right
-of it, at least two exponent digits, and whole numbers bare (``1``, not
-``1.0``), as ``format_float`` prints them.
+entry has no character, and ``render`` drops the zeros of the whole run
+with one ``translate``.  The layout follows ``repr``: the exponent form
+when the decimal point would sit more than 4 places left of the first digit
+or more than 16 right of it, at least two exponent digits, and whole
+numbers bare (``1``, not ``1.0``), as ``format_float`` prints them.
 
 Every ``uint64`` operand is a ``np.uint64``: NumPy 1.x turns a ``uint64``
 array mixed with a signed integer into float64, which drops bits.
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ENTRY_BYTES", "entries", "integers", "render"]
+__all__ = ["entries", "integers", "render"]
 
 _U = np.uint64
 _MASK32 = _U(0xFFFF_FFFF)
@@ -73,7 +73,7 @@ _POW10 = np.array([10**i for i in range(18)], dtype=np.uint64)
 
 _ROW_BYTES = 56
 # the bytes of a row before its separator
-ENTRY_BYTES = 52
+_ENTRY_BYTES = 52
 
 
 def _layouts():
@@ -219,9 +219,9 @@ def render(values: np.ndarray) -> tuple[str, np.ndarray]:
 
 
 def entries(values: np.ndarray) -> np.ndarray:
-    """The text of each of the finite float64 ``values`` in a row of
-    ``ENTRY_BYTES`` bytes, zero where it has no character."""
-    return np.frombuffer(_rows(values)[0], dtype=np.uint8).reshape(-1, _ROW_BYTES)[:, :ENTRY_BYTES]
+    """The text of each of the finite float64 ``values`` in a row of 52
+    bytes, zero where it has no character."""
+    return np.frombuffer(_rows(values)[0], dtype=np.uint8).reshape(-1, _ROW_BYTES)[:, :_ENTRY_BYTES]
 
 
 def _rows(values: np.ndarray) -> tuple[bytearray, np.ndarray]:

@@ -263,10 +263,12 @@ def _padded(values) -> np.ndarray:
 def _left_aligned(values: np.ndarray) -> np.ndarray:
     """The text of each entry at the start of a row of ``_FIELD_BYTES``, zero after it."""
     text, ends = _render(values)
-    lengths = np.diff(ends, prepend=-2) - 2
+    # an entry starts two characters, ", ", after the one before it ends
+    starts = np.concatenate(([0], ends[:-1] + 2))
     columns = np.arange(_FIELD_BYTES)
     chars = np.frombuffer(text.encode("ascii") + bytes(_FIELD_BYTES), dtype=np.uint8)
-    return np.where(columns < lengths[:, None], chars[(ends - lengths)[:, None] + columns], np.uint8(0))
+    inside = columns < (ends - starts)[:, None]
+    return np.where(inside, chars[starts[:, None] + columns], np.uint8(0))
 
 
 def _day_digits(lo: int, hi: int) -> np.ndarray:

@@ -422,15 +422,6 @@ class TestRowLayout:
         assert "".join(cli._csv_field_lines("x", values)) == field_lines_reference("x", values)
         assert format_floats(values) == list(map(format_float, values))
 
-    def test_solve_rows_across_the_cap_and_six_digit_days(self, cold_text, capsys):
-        m = CAP + 34_474
-        code, out, err = run_main(capsys, "solve", "--days", str(m), "--format", "csv")
-        assert (code, err) == (0, "")
-        policy = rollout(m).policy
-        columns = (policy.gamma, policy.hazard, policy.allocations, policy.remaining_before)
-        rows = zip(map(str, range(1, m + 1)), *(map(format_float, c.tolist()) for c in columns))
-        assert_same_lines(out, "j,gamma,hazard,p,remaining_before\n" + "".join(",".join(r) + "\n" for r in rows))
-
     @settings(max_examples=20, deadline=None)
     @given(
         st.sampled_from([(16, 4), (24, 8), (64, 8), (64, 64)]),
