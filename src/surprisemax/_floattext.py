@@ -1,13 +1,12 @@
 """Shortest round-trip text of a run of float64 values, as array operations.
 
-``render(values)`` gives the text of ``", ".join(map(format_float,
-values))`` for a 1-D run of finite float64 values, with the end of each
-entry in it, and makes no Python call per entry; ``format_float`` is
-``repr`` without a trailing ``.0`` (see :mod:`.cli`).  ``entries(values)``
-gives the same text before the zeros are dropped, one fixed-width row of
-bytes per entry, for callers that lay the rows out among other fields and
-drop the zeros once; ``integers(first, last)`` gives rows of decimal digits
-the same way.
+``entries(values)`` gives the text of each of a 1-D run of finite float64
+values in a fixed-width row of bytes, zero where the entry has no
+character, and makes no Python call per entry: ``format_float`` of the
+entry (``repr`` without a trailing ``.0``, see :mod:`.cli`) once the zeros
+are dropped.  ``integers(first, last)`` gives rows of decimal digits the
+same way.  Callers lay the rows out among other fields and drop the zeros
+of a whole run at once (``cli._laid_out``).
 
 The digits come from Schubfach (R. Giulietti, "The Schubfach way to render
 doubles", 2020): the shortest decimal inside the value's rounding interval,
@@ -18,12 +17,11 @@ power of ten from a table built once, as 64x64-bit products pieced together
 from 32-bit halves.  Java's ``Double.toString`` keeps at least two digits;
 here one is enough, as in ``repr`` (``8e-323``, not ``7.9e-323``).
 
-The text of each entry is laid out in a fixed row of bytes, zero where the
-entry has no character, and ``render`` drops the zeros of the whole run
-with one ``translate``.  The layout follows ``repr``: the exponent form
-when the decimal point would sit more than 4 places left of the first digit
-or more than 16 right of it, at least two exponent digits, and whole
-numbers bare (``1``, not ``1.0``), as ``format_float`` prints them.
+The text of each entry is laid out in a row of 13 words of 4 bytes.  The
+layout follows ``repr``: the exponent form when the decimal point would sit
+more than 4 places left of the first digit or more than 16 right of it, at
+least two exponent digits, and whole numbers bare (``1``, not ``1.0``), as
+``format_float`` prints them.
 
 Every ``uint64`` operand is a ``np.uint64``: NumPy 1.x turns a ``uint64``
 array mixed with a signed integer into float64, which drops bits.
@@ -33,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["entries", "integers", "render"]
+__all__ = ["entries", "integers"]
 
 _U = np.uint64
 _MASK32 = _U(0xFFFF_FFFF)
@@ -71,21 +69,19 @@ for _i, _place in enumerate((1000, 100, 10, 1)):
 _DIGITS4 = _DIGITS4.view(np.uint32).ravel()
 _POW10 = np.array([10**i for i in range(18)], dtype=np.uint64)
 
-_ROW_BYTES = 56
-# the bytes of a row before its separator
-_ENTRY_BYTES = 52
+_ROW_BYTES = 52
 
 
 def _layouts():
     """The row of each layout, with 0 in the bytes it drops and 0xFF where a
-    digit or the exponent's sign goes, and the length of its text.
+    digit or the exponent's sign goes.
 
-    A row is 14 words of 4 bytes: ``-0.0``, ``00``, an unused byte and the
+    A row is 13 words of 4 bytes: ``-0.0``, ``00``, an unused byte and the
     lead digit, its 16 other digits in 4 words, two unused bytes, ``.``, the
-    17 digits again, two unused bytes, ``e``, the exponent's sign, the
-    exponent as 4 digits, ``, `` and two unused bytes.  Digits before the
-    decimal point come from the first copy, those after it from the second,
-    and 4 digits at a time from ``_DIGITS4``.  The layout of an entry is
+    17 digits again, two unused bytes, ``e``, the exponent's sign and the
+    exponent as 4 digits.  Digits before the decimal point come from the
+    first copy, those after it from the second, and 4 digits at a time from
+    ``_DIGITS4``.  The layout of an entry is
     ``(sign * 22 + form) * 17 + digits - 1``, where the form is 3 plus the
     place of the decimal point after the first digit, from -3 to 16, or 20
     for an exponent of 2 digits and 21 for one of 3.
@@ -108,11 +104,10 @@ def _layouts():
     rows[:, 47] = exponent * 0xFF
     rows[:, 49] = (form == 21) * 0xFF
     rows[:, 50:52] = exponent[:, None] * 0xFF
-    rows[:, 52:54] = np.frombuffer(b", ", dtype=np.uint8)
-    return rows, np.count_nonzero(rows, axis=1)
+    return rows
 
 
-_LAYOUTS, _LENGTHS = _layouts()
+_LAYOUTS = _layouts()
 
 
 def _mul_high(a, b_lo, b_hi):
@@ -205,28 +200,9 @@ def integers(first: int, last: int) -> np.ndarray:
     return rows
 
 
-def render(values: np.ndarray) -> tuple[str, np.ndarray]:
-    """The text of the finite float64 ``values``, entries joined by ``", "``,
-    and the end of each entry in it."""
-    # the rows are built by a call of their own, so that every array of the
-    # build is freed before the text is copied out
-    buffer, lengths = _rows(values)
-    # no separator after the last entry
-    buffer[-4:-2] = b"\0\0"
-    text = buffer.translate(None, b"\0")
-    del buffer
-    return text.decode("ascii"), np.cumsum(lengths) - 2
-
-
 def entries(values: np.ndarray) -> np.ndarray:
     """The text of each of the finite float64 ``values`` in a row of 52
     bytes, zero where it has no character."""
-    return np.frombuffer(_rows(values)[0], dtype=np.uint8).reshape(-1, _ROW_BYTES)[:, :_ENTRY_BYTES]
-
-
-def _rows(values: np.ndarray) -> tuple[bytearray, np.ndarray]:
-    """The rows of the finite ``values``, each entry followed by ``", "``, and
-    the length of each row's text."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     n = values.size
     bits = values.view(np.uint64) & _MASK63
@@ -255,8 +231,7 @@ def _rows(values: np.ndarray) -> tuple[bytearray, np.ndarray]:
     exponent = np.abs(point - 1)
     form = np.where((point <= -4) | (point > 16), 20 + (exponent >= 100), point + 3)
     layout = (np.signbit(values) * 22 + form) * 17 + digits - 1
-    buffer = bytearray(n * _ROW_BYTES)
-    rows = np.frombuffer(buffer, dtype=np.uint8).reshape(n, _ROW_BYTES)
+    rows = np.empty((n, _ROW_BYTES), dtype=np.uint8)
     np.take(_LAYOUTS, layout, axis=0, out=rows, mode="clip")
     words = rows.view(np.uint32)
     for first in (7, 27):
@@ -265,4 +240,4 @@ def _rows(values: np.ndarray) -> tuple[bytearray, np.ndarray]:
             words[:, word] &= four
     rows[:, 47] &= np.where(point < 1, ord("-"), ord("+")).astype(np.uint8)
     words[:, 12] &= _DIGITS4.take(exponent)
-    return buffer, _LENGTHS.take(layout)
+    return rows

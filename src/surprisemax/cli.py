@@ -14,12 +14,12 @@ with NumPy integer arithmetic, so a column prints byte for byte what
 ``format_float`` prints.
 
 No Python call is made per row.  Each entry's text sits in a fixed-width
-field of bytes, zero where it has no character: the padded rows of
-``_floattext.entries``, the kept gamma and hazard fields of
-``_SequenceText``, and the day numbers of ``_floattext.integers``.  A CSV
-run of up to ``_CHUNK`` rows places its fields and separator bytes side by
-side in one byte array, and one ``bytearray.translate`` drops the zeros
-(``_laid_out``); a kept JSON ``gamma`` run is its fields and ``", "``.
+field of bytes, zero where it has no character: the 52-byte rows of
+``_floattext.entries`` (``_padded``), the kept 24-byte gamma and hazard
+fields of ``_SequenceText``, and the day numbers of
+``_floattext.integers``.  Every run of up to ``_CHUNK`` rows, CSV or JSON,
+places its fields and separator bytes side by side in one byte array, and
+one ``bytearray.translate`` drops the zeros (``_laid_out``).
 """
 
 from __future__ import annotations
@@ -54,24 +54,12 @@ def format_float(x: float) -> str:
 
 
 def format_floats(values) -> list[str]:
-    """``format_float`` of every entry of a 1-D array, in one pass."""
-    text = _render(values)[0]
+    """``format_float`` of every entry of a 0-D or 1-D array, in one pass."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim > 1:
+        raise ValueError(f"expected a one-dimensional vector, got {values.ndim} dimensions")
+    text = "".join(_json_list(values.ravel()))
     return text.split(", ") if text else []
-
-
-def _render(values) -> tuple[str, np.ndarray]:
-    """``", ".join(map(format_float, values))`` and the end of each entry in it.
-
-    A run of finite values is rendered by ``_floattext``, imported on first
-    use, so the subcommands that print scalars alone never build its tables.
-    """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.size and np.isfinite(values).all():
-        from ._floattext import render
-
-        return render(values)
-    texts = list(map(format_float, values.tolist()))
-    return ", ".join(texts), np.cumsum([len(t) + 2 for t in texts], dtype=np.int64) - 2
 
 
 class _UsageError(Exception):
@@ -92,10 +80,21 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # input parsing
 
+def _integer(text: str) -> int:
+    """``int(text)`` of text that ``_is_plain_number`` accepts, the type of every integer flag."""
+    if _is_plain_number(text):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    # argparse's own words for a value that ``int`` refuses
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_single_days(text: str) -> int:
     try:
-        m = int(text)
-    except ValueError:
+        m = _integer(text)
+    except argparse.ArgumentTypeError:
         raise _UsageError(f"invalid --days value {text!r}, expected an integer")
     if m < 1:
         raise _UsageError(f"--days must be at least 1, got {m}")
@@ -107,8 +106,8 @@ def _parse_days_span(text: str) -> tuple[int, int]:
     if ".." in text:
         first, _, last = text.partition("..")
         try:
-            lo, hi = int(first), int(last)
-        except ValueError:
+            lo, hi = _integer(first), _integer(last)
+        except argparse.ArgumentTypeError:
             raise _UsageError(f"invalid --days span {text!r}, expected like 2..8")
     else:
         lo = hi = _parse_single_days(text)
@@ -241,34 +240,29 @@ def _kept_days() -> int:
     return cap
 
 
-def _joined(values: np.ndarray, lo: int, hi: int) -> str:
-    return _render(values[lo:hi])[0]
+def _left_aligned(texts: list[str]) -> np.ndarray:
+    """Each text at the start of a row of ``_FIELD_BYTES`` bytes, zero after it."""
+    return np.array(texts, dtype=f"S{_FIELD_BYTES}").view(np.uint8).reshape(-1, _FIELD_BYTES)
 
 
 def _padded(values) -> np.ndarray:
     """The text of each entry of a 1-D array in a row of bytes, zero where it has no character.
 
-    A run of finite values is laid out by ``_floattext.entries``; any other
-    run is ``format_float`` of each entry, left-aligned in ``_FIELD_BYTES``.
+    A run of finite values is laid out by ``_floattext.entries``, imported on
+    first use, so the subcommands that print scalars alone never build its
+    tables; any other run is ``format_float`` of each entry, left-aligned.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.size and np.isfinite(values).all():
         from ._floattext import entries
 
         return entries(values)
-    texts = [format_float(x).encode("ascii") for x in values.tolist()]
-    return np.array(texts, dtype=f"S{_FIELD_BYTES}").view(np.uint8).reshape(-1, _FIELD_BYTES)
+    return _left_aligned([format_float(x) for x in values.tolist()])
 
 
-def _left_aligned(values: np.ndarray) -> np.ndarray:
-    """The text of each entry at the start of a row of ``_FIELD_BYTES``, zero after it."""
-    text, ends = _render(values)
-    # an entry starts two characters, ", ", after the one before it ends
-    starts = np.concatenate(([0], ends[:-1] + 2))
-    columns = np.arange(_FIELD_BYTES)
-    chars = np.frombuffer(text.encode("ascii") + bytes(_FIELD_BYTES), dtype=np.uint8)
-    inside = columns < (ends - starts)[:, None]
-    return np.where(inside, chars[starts[:, None] + columns], np.uint8(0))
+def _fresh(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The rows of entries ``lo..hi`` of ``values``, rendered for this call."""
+    return _padded(values[lo:hi])
 
 
 def _day_digits(lo: int, hi: int) -> np.ndarray:
@@ -325,27 +319,26 @@ class _SequenceText:
         stored = len(fields)
         if stored < m - lo:
             new = values[lo : m - stored]
-            pieces = [_left_aligned(new[a:b]) for a, b in _chunks(new.size)]
+            pieces = [_left_aligned(format_floats(new[a:b])) for a, b in _chunks(new.size)]
             fields = self._fields = np.concatenate([*pieces, fields])
             stored = m - lo
         # day i (from 0) has k = m-1-i days left, row stored-m+i
         return fields[lo + stored - m : hi + stored - m]
-
-    def joined(self, values: np.ndarray, lo: int, hi: int) -> str:
-        """``_joined(values, lo, hi)`` for ``values``, this column of one horizon."""
-        return _laid_out(hi - lo, [self.fields(values, lo, hi), b", "])[:-2]
 
 
 _GAMMA_TEXT = _SequenceText()
 _HAZARD_TEXT = _SequenceText()
 
 
-def _json_list(values: np.ndarray, joined=_joined):
-    """The entries of a JSON number array, without the brackets, in pieces."""
-    sep = ""
+def _json_list(values: np.ndarray, fields=_fresh):
+    """The entries of a JSON number array, without the brackets, in pieces.
+
+    ``fields(values, lo, hi)`` gives the rows of entries ``lo..hi``.
+    """
     for lo, hi in _chunks(values.size):
-        yield sep + joined(values, lo, hi)
-        sep = ", "
+        text = _laid_out(hi - lo, [fields(values, lo, hi), b", "])
+        # no separator after the last entry
+        yield text if hi < values.size else text[:-2]
 
 
 def _csv_field_lines(name: str, values: np.ndarray):
@@ -433,7 +426,7 @@ def _cmd_table(args) -> int:
             fields = [
                 ("m", str(result.m)),
                 ("gamma0", format_float(result.gamma[0])),
-                ("gamma", _json_list(result.policy.gamma, _GAMMA_TEXT.joined)),
+                ("gamma", _json_list(result.policy.gamma, _GAMMA_TEXT.fields)),
                 ("p", result.p),
                 ("objective", _objective_fields(result.objective)),
                 ("value_at_root", format_float(result.value_at_root)),
@@ -564,15 +557,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="check the closed form against the oracles")
     verify.add_argument("--days", required=True, help="single value or span like 2..8")
-    verify.add_argument("--grid", type=int, default=None, help="override grid resolution")
+    verify.add_argument("--grid", type=_integer, default=None, help="override grid resolution")
     verify.add_argument("--tol", type=float, default=1e-6, help="ascent agreement tolerance")
-    verify.add_argument("--seed", type=int, default=0, help="ascent restart seed")
+    verify.add_argument("--seed", type=_integer, default=0, help="ascent restart seed")
     verify.set_defaults(func=_cmd_verify)
 
     simulate = sub.add_parser("simulate", help="Monte Carlo check of the expected surprise")
     simulate.add_argument("--days", required=True, help="number of days, at least 1")
-    simulate.add_argument("--samples", type=int, default=1_000_000)
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--samples", type=_integer, default=1_000_000)
+    simulate.add_argument("--seed", type=_integer, default=0)
     simulate.add_argument("--format", choices=("csv", "json"), default="json")
     simulate.set_defaults(func=_cmd_simulate)
 

@@ -116,6 +116,11 @@ def invocations():
         ["simulate", "--days", "3", "--samples", "0"],
         ["verify", "--days", "2", "--tol", "-1"],
         ["verify", "--days", "5..6", "--grid", "1"],
+        # integers in ASCII without "_", as eval reads numbers
+        ["solve", "--days", "1_0"],
+        ["solve", "--days", "\u0663"],
+        ["table", "--days", "1..1_0"],
+        ["table", "--days", "\u0663..5"],
     ):
         yield argv, None, {}
     # exit 3: input that does not parse or is not a schedule
@@ -123,7 +128,16 @@ def invocations():
         yield ["eval", "--input", "-"], text, {}
     # text laid out by argparse: help and its own usage errors
     python = {"python": PYTHON}
-    for argv in (["--help"], ["solve", "--help"], ["solve"], ["solve", "--days", "3", "--format", "xml"]):
+    for argv in (
+        ["--help"],
+        ["solve", "--help"],
+        ["solve"],
+        ["solve", "--days", "3", "--format", "xml"],
+        ["verify", "--days", "2", "--grid", "4_0"],
+        ["verify", "--days", "2", "--seed", "\u0661"],
+        ["simulate", "--days", "3", "--samples", "1_000"],
+        ["simulate", "--days", "3", "--seed", "1_0"],
+    ):
         yield argv, None, python
 
 

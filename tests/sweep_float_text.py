@@ -1,13 +1,13 @@
-"""Check the array float renderer against ``repr`` on random bit patterns.
+"""Check the CLI's array float rendering against ``repr`` on random bit patterns.
 
     PYTHONPATH=src python tests/sweep_float_text.py [--count N] [--seed S]
 
 Draws ``N`` seeded random 64-bit patterns, keeps those that are finite as
 float64, and renders them in runs of ``cli._CHUNK`` entries, as the CLI
-does.  Each run's text must equal ``", ".join(map(format_float, run))`` and
-its entry ends must match.  Exits 1 at the first run that differs, naming
-the first value rendered wrong.  Too slow for the tier-1 suite at its
-default of 10,000,000 patterns (about 30 s on a 2-vCPU Xeon guest),
+does, with ``cli.format_floats``.  Each run's texts must equal
+``format_float`` of each entry.  Exits 1 at the first run that differs,
+naming the first value rendered wrong.  Too slow for the tier-1 suite at
+its default of 10,000,000 patterns (about 30 s on a 2-vCPU Xeon guest),
 so CI runs it as a step.
 """
 
@@ -18,8 +18,7 @@ import sys
 
 import numpy as np
 
-from surprisemax._floattext import render
-from surprisemax.cli import _CHUNK, format_float
+from surprisemax.cli import _CHUNK, format_float, format_floats
 
 
 def main(argv=None) -> int:
@@ -34,15 +33,10 @@ def main(argv=None) -> int:
         run = np.frombuffer(rng.bytes(8 * n), dtype=np.uint64).view(np.float64)
         run = run[np.isfinite(run)]
         texts = list(map(format_float, run.tolist()))
-        text, ends = render(run)
-        if text != ", ".join(texts):
-            x, want, have = next(
-                (x, w, h) for x, w, h in zip(run.tolist(), texts, text.split(", ")) if w != h
-            )
-            print(f"mismatch at {x!r}: repr gives {want!r}, render gives {have!r}", file=sys.stderr)
-            return 1
-        if not np.array_equal(ends, np.cumsum([len(t) + 2 for t in texts]) - 2):
-            print(f"entry ends differ in the run from pattern {start}", file=sys.stderr)
+        have = format_floats(run)
+        if have != texts:
+            x, want, got = next((x, w, h) for x, w, h in zip(run.tolist(), texts, have) if w != h)
+            print(f"mismatch at {x!r}: repr gives {want!r}, format_floats gives {got!r}", file=sys.stderr)
             return 1
         checked += run.size
     print(f"{checked} finite values of {args.count} patterns (seed {args.seed}) render as repr does")

@@ -379,6 +379,33 @@ class TestSimulate:
         assert "--seed" in err
 
 
+class TestIntegerFlags:
+    """Every integer flag reads ASCII digits without ``_``, as ``eval`` reads numbers."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--days", "1_0"],
+            ["solve", "--days", "\u0663"],
+            ["table", "--days", "1..1_0"],
+            ["table", "--days", "\u0663..5"],
+            ["verify", "--days", "2", "--grid", "4_0"],
+            ["verify", "--days", "2", "--seed", "\u0661"],
+            ["simulate", "--days", "3", "--samples", "1_000"],
+            ["simulate", "--days", "3", "--seed", "1_0"],
+        ],
+    )
+    def test_refused(self, capsys, argv):
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert repr(argv[-1]) in err
+
+    def test_plain_values_still_read(self, capsys):
+        code, out, _ = run_main(capsys, "simulate", "--days", "3", "--samples", "+10", "--seed", " 7 ")
+        assert code == 0
+        assert '"samples": 10' in out and '"seed": 7' in out
+
+
 class TestTopLevel:
     def test_no_arguments(self, capsys):
         code, _, err = run_main(capsys)
@@ -398,6 +425,27 @@ class TestProcessLevel:
         code, out, err = run_process("solve", "--days", "1", "--format", "csv")
         assert code == 0
         assert out == b"j,gamma,hazard,p,remaining_before\n1,0,1,1,1\n"
+
+    def test_scalar_subcommands_leave_the_float_tables_unbuilt(self):
+        # simulate, verify and a usage error print scalars alone; solve prints columns
+        script = """
+import contextlib, io, sys
+from surprisemax import cli
+for argv in (
+    ["simulate", "--days", "3", "--samples", "100"],
+    ["verify", "--days", "2"],
+    ["solve", "--days", "0"],
+    ["solve", "--days", "3"],
+):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(argv)
+    print(argv[0], "surprisemax._floattext" in sys.modules)
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n") == [
+            "simulate False", "verify False", "solve False", "solve True", ""
+        ]
 
     def test_identical_invocations_identical_bytes(self):
         first = run_process("solve", "--days", "6", "--format", "json")

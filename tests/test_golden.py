@@ -207,21 +207,21 @@ class TestFormatFloats:
         values = [float("nan"), float("inf"), 0.5, float("-inf")]
         assert format_floats(np.array(values)) == ["nan", "inf", "0.5", "-inf"]
 
-    def test_entry_ends(self):
-        values = np.concatenate([powers_and_neighbours()[::7], [0.0, -0.0, 1.0]])
-        texts = [format_float(x) for x in values]
-        text, ends = cli._render(values)
-        assert text == ", ".join(texts)
-        assert ends.tolist() == (np.cumsum([len(t) + 2 for t in texts]) - 2).tolist()
-        assert cli._render(np.zeros(0))[0] == ""
+    def test_dimensions(self):
+        assert format_floats(np.array(1.5)) == ["1.5"]
+        assert format_floats(np.zeros(0)) == []
+        for values in ([[0.1, 2.0], [3.0, 1e23]], [[0.1, math.nan]], np.zeros((1, 1, 1))):
+            ndim = np.ndim(values)
+            with pytest.raises(ValueError, match=f"got {ndim} dimensions"):
+                format_floats(np.array(values))
 
     def test_run_memory(self):
-        # one run of the longest entries: 24 characters and a negative exponent
+        # one JSON run of the longest entries: 24 characters and a negative exponent
         run = -np.random.default_rng(5).random(cli._CHUNK) * 1e-300
-        cli._render(run)
+        list(cli._json_list(run))
         tracemalloc.start()
         try:
-            cli._render(run)
+            list(cli._json_list(run))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -353,10 +353,8 @@ class TestSharedText:
         # 5000 gamma (and hazard) entries; the rest are read from the kept rows
         run_main(capsys, "solve", "--days", str(days(CAP)), "--format", fmt)
         formatted = []
-        for name in ("_render", "_padded"):
-            render = getattr(cli, name)
-            counted = lambda v, render=render: formatted.append(len(v)) or render(v)
-            monkeypatch.setattr(cli, name, counted)
+        padded = cli._padded
+        monkeypatch.setattr(cli, "_padded", lambda v: formatted.append(len(v)) or padded(v))
         m = days(CAP + 5000)
         extra = m - days(CAP)
         code, out, err = run_main(capsys, "solve", "--days", str(m), "--format", fmt)
