@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -80,15 +81,24 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # input parsing
 
-def _integer(text: str) -> int:
-    """``int(text)`` of text that ``_is_plain_number`` accepts, the type of every integer flag."""
-    if _is_plain_number(text):
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    # argparse's own words for a value that ``int`` refuses
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+def _plain(kind):
+    """The argparse type that reads ``kind(text)`` of text ``_is_plain_number`` accepts."""
+
+    def read(text: str):
+        if _is_plain_number(text):
+            try:
+                return kind(text)
+            except ValueError:
+                pass
+        # argparse's own words for a value that ``kind`` refuses
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
+
+    return read
+
+
+# the type of every integer flag, and of --tol
+_integer = _plain(int)
+_real = _plain(float)
 
 
 def _parse_single_days(text: str) -> int:
@@ -504,6 +514,8 @@ def _cmd_verify(args) -> int:
     seed = _parse_seed(args.seed)
     if not args.tol > 0.0:
         raise _UsageError(f"--tol must be positive, got {args.tol}")
+    if args.tol == math.inf:
+        raise _UsageError(f"--tol must be finite, got {args.tol}")
     grid = None if args.grid is None else _checked("--grid", GridSpec, args.grid)
     for m in _GRID_RESOLUTIONS:
         if grid is not None and lo <= m <= hi:
@@ -558,7 +570,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="check the closed form against the oracles")
     verify.add_argument("--days", required=True, help="single value or span like 2..8")
     verify.add_argument("--grid", type=_integer, default=None, help="override grid resolution")
-    verify.add_argument("--tol", type=float, default=1e-6, help="ascent agreement tolerance")
+    verify.add_argument("--tol", type=_real, default=1e-6, help="ascent agreement tolerance")
     verify.add_argument("--seed", type=_integer, default=0, help="ascent restart seed")
     verify.set_defaults(func=_cmd_verify)
 

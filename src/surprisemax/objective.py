@@ -102,14 +102,24 @@ def tail_masses(p) -> np.ndarray:
     return _tails(as_probability_vector(p))
 
 
+# Longest run NumPy's pairwise summation adds without splitting it.
+_PAIRWISE_RUN = 128
+
+
+def _split(n: int) -> int:
+    # The first half, a multiple of 8 long, of a run of more than
+    # _PAIRWISE_RUN entries, which NumPy's pairwise summation adds as two.
+    return n // 2 - n // 2 % 8
+
+
 def _pairwise(x: np.ndarray) -> np.ndarray:
     # NumPy's pairwise summation of a contiguous run, over the rows of ``x``:
     # under 8 rows in order; up to 128 in 8 interleaved partial sums, combined
     # as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in order; more
-    # than that as two halves, the first a multiple of 8 rows long.
+    # than that as the two halves of ``_split``.
     n = len(x)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
+    if n > _PAIRWISE_RUN:
+        half = _split(n)
         return _pairwise(x[:half]) + _pairwise(x[half:])
     if n < 8:
         total = x[0].copy()

@@ -4,6 +4,19 @@ Sampling is inverse-CDF against the cumulative masses, driven by the
 SplitMix64 generator in :mod:`.rng`, so a (schedule, sample count, seed)
 triple pins the estimate down to the bit.  The estimator is the plain
 sample mean of the realized surprise of each drawn day.
+
+The draws are never held as one float64 array.  ``np.mean`` and ``np.std``
+add an array by NumPy's pairwise summation: a run of more than 128 entries
+is added as two halves, the first a multiple of 8 entries long.  The
+sampler walks that tree and stops at runs of at most ``_BLOCK`` (2^16)
+draws, its leaves, left to right on one generator.  Each leaf is drawn,
+looked up and summed by ``np.add.reduce``, and its days are kept as one
+index per draw of the smallest unsigned type that holds ``m - 1`` (1 byte
+up to 256 days, 2 up to 65,536).  A second walk sums the squared
+deviations over the same leaves.  So the mean and the standard error have
+the bits of ``np.mean`` and ``np.std(ddof=1)`` over every draw's surprise,
+whatever the leaf size, and memory is the days plus fixed leaf buffers of
+about 1.6 MB.
 """
 
 from __future__ import annotations
@@ -13,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import _check_integer, _tails, as_probability_vector
+from .objective import _PAIRWISE_RUN, _check_integer, _split, _tails, as_probability_vector
 from .rng import SplitMix64, _check_seed
 
 __all__ = [
@@ -47,50 +60,74 @@ class SimulationResult:
 # Most cumulative masses one guide bucket may hold before its keys are
 # finished by binary search instead of by stepping.
 _GUIDE_STEPS = 8
-# Keys stepped per block, so each step's temporaries stay in cache.
+# Draws per leaf of the pairwise-sum tree: the sampler holds the keys, days
+# and values of one leaf at a time.  Runs NumPy adds whole are never split,
+# so any leaf size gives the same bits.
 _BLOCK = 1 << 16
 
 
-def _day_indices(cum: np.ndarray, u: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # 0-based day of each key u in [0, 1): the first index whose cumulative
-    # mass exceeds u, i.e. np.searchsorted(cum, u, side="right").  A
-    # zero-probability day owns an empty interval, so it can never come out.
-    # If accumulated rounding leaves u at or above the final cumulative mass,
-    # fall back to the last day that carries probability.
+def _day_lookup(cum: np.ndarray, p: np.ndarray, keys: int):
+    """A function from keys u in [0, 1) to their 0-based days, for ``keys`` keys in all.
+
+    The day of u is the first index whose cumulative mass exceeds it, i.e.
+    ``np.searchsorted(cum, u, side="right")``.  A zero-probability day owns an
+    empty interval, so it can never come out.  If accumulated rounding leaves
+    u at or above the final cumulative mass, it falls back to the last day
+    that carries probability.  The tables are built once, here.
+    """
     m = cum.size
+    last = int(np.flatnonzero(p > 0.0)[-1])
     buckets = 1 << (m - 1).bit_length()
-    if u.size < buckets:
+    if keys < buckets:
         # Fewer keys than buckets: building the table costs more than it saves.
-        idx = np.searchsorted(cum, u, side="right")
-    else:
-        idx = _guide_search(cum, u, buckets)
-    idx[idx >= m] = int(np.flatnonzero(p > 0.0)[-1])
-    return idx
+        def days(u: np.ndarray) -> np.ndarray:
+            idx = np.searchsorted(cum, u, side="right")
+            idx[idx >= m] = last
+            return idx
 
-
-def _guide_search(cum: np.ndarray, u: np.ndarray, buckets: int) -> np.ndarray:
-    # np.searchsorted(cum, u, side="right") by a guide table: [0, 1) is cut
-    # into `buckets` (a power of two) equal buckets, and guide[b] counts the
-    # masses <= b/buckets.  floor(u*buckets) is exact for a power of two, so
-    # a key in bucket b starts at guide[b] and is short of its index by at
-    # most the masses inside the bucket; each step moves it past one of them.
-    # Keys in buckets wider than _GUIDE_STEPS that are still short after the
-    # steps finish by binary search.
+        return days
+    # A guide table: [0, 1) is cut into `buckets` (a power of two) equal
+    # buckets, and guide[b] counts the masses <= b/buckets.  floor(u*buckets)
+    # is exact for a power of two, so a key in bucket b starts at guide[b]
+    # and is short of its index by at most the masses inside the bucket; each
+    # step moves it past one of them.  Keys in buckets wider than
+    # _GUIDE_STEPS that are still short after the steps finish by binary
+    # search.
     guide = np.searchsorted(cum, np.arange(buckets + 1) / buckets, side="right")
     padded = np.append(cum, np.inf)
-    idx = np.empty(u.shape, dtype=np.intp)
-    np.multiply(u, buckets, out=idx, casting="unsafe")
-    np.take(guide, idx, out=idx, mode="clip")
     widest = int(np.diff(guide).max())
     steps = min(widest, _GUIDE_STEPS)
-    for start in range(0, idx.size, _BLOCK):
-        block, keys = idx[start : start + _BLOCK], u[start : start + _BLOCK]
+
+    def days(u: np.ndarray) -> np.ndarray:
+        idx = np.empty(u.shape, dtype=np.intp)
+        np.multiply(u, buckets, out=idx, casting="unsafe")
+        np.take(guide, idx, out=idx, mode="clip")
         for _ in range(steps):
-            block += np.take(padded, block, mode="clip") <= keys
-    if widest > _GUIDE_STEPS:
-        rest = np.flatnonzero(np.take(padded, idx, mode="clip") <= u)
-        idx[rest] = np.searchsorted(cum, u[rest], side="right")
-    return idx
+            idx += np.take(padded, idx, mode="clip") <= u
+        if widest > _GUIDE_STEPS:
+            rest = np.flatnonzero(np.take(padded, idx, mode="clip") <= u)
+            idx[rest] = np.searchsorted(cum, u[rest], side="right")
+        idx[idx >= m] = last
+        return idx
+
+    return days
+
+
+def _day_indices(cum: np.ndarray, u: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # 0-based day of each key u in [0, 1); see _day_lookup.
+    return _day_lookup(cum, p, u.size)(u)
+
+
+def _tree_sum(n: int, leaf, start: int = 0) -> float:
+    # np.add.reduce of n nonnegative entries: 0.0 plus NumPy's pairwise sum.
+    # The tree is walked down to runs of at most _BLOCK entries (runs of
+    # _PAIRWISE_RUN or fewer are never split), and leaf(lo, hi), called on
+    # them left to right, gives np.add.reduce of entries lo..hi-1.  A
+    # nonnegative sum is never -0.0, so the 0.0 each leaf adds changes nothing.
+    if n <= max(_BLOCK, _PAIRWISE_RUN):
+        return leaf(start, start + n)
+    half = _split(n)
+    return _tree_sum(half, leaf, start) + _tree_sum(n - half, leaf, start + half)
 
 
 def sample_day(p, rng: SplitMix64) -> int:
@@ -108,11 +145,12 @@ def estimate_expected_surprise(p, config: SimulationConfig) -> SimulationResult:
     generator seeded at ``config.seed`` and averaging
     ``realized_surprise(p, day)`` in draw order.  ``std_error`` is the
     sample standard deviation divided by ``sqrt(samples)``; with a single
-    draw, or a point-mass schedule, it is exactly zero.
+    draw, or a point-mass schedule, it is exactly zero.  Both have the bits
+    of ``np.mean`` and ``np.std(ddof=1)`` over the array of every draw's
+    surprise, though no such array is built.
     """
     v = as_probability_vector(p)
-    cum = np.cumsum(v)
-    idx = _day_indices(cum, SplitMix64(config.seed).doubles(config.samples), v)
+    n = config.samples
     # realized_surprise of every day from one tails pass; zero-mass days are
     # never drawn.  math.log, not np.log, keeps each entry bit-equal to it.
     per_day = np.array(
@@ -121,16 +159,28 @@ def estimate_expected_surprise(p, config: SimulationConfig) -> SimulationResult:
             for q, t in zip(v.tolist(), _tails(v).tolist())
         ]
     )
-    values = per_day[idx]
-    del idx  # free the indices before np.std allocates its deviations
-    mean = float(np.mean(values))
-    if config.samples > 1:
-        std_error = float(np.std(values, ddof=1) / math.sqrt(config.samples))
+    days_of = _day_lookup(np.cumsum(v), v, n)
+    rng = SplitMix64(config.seed)
+    days = np.empty(n, dtype=np.min_scalar_type(v.size - 1))
+
+    def drawn(lo: int, hi: int) -> float:
+        # the leaves come left to right, so the draws come in order
+        idx = days_of(rng.doubles(hi - lo))
+        days[lo:hi] = idx
+        return float(np.add.reduce(per_day[idx]))
+
+    mean = _tree_sum(n, drawn) / n
+    if n > 1:
+        # np.var's squared deviations, one per day instead of one per draw
+        dev2 = per_day - mean
+        dev2 *= dev2
+        squares = _tree_sum(n, lambda lo, hi: float(np.add.reduce(dev2[days[lo:hi]])))
+        std_error = math.sqrt(squares / (n - 1)) / math.sqrt(n)
     else:
         std_error = 0.0
     return SimulationResult(
         mean=mean,
         std_error=std_error,
-        samples=int(config.samples),
+        samples=int(n),
         seed=int(config.seed),
     )

@@ -115,6 +115,7 @@ def invocations():
         ["table", "--days", "5..2"],
         ["simulate", "--days", "3", "--samples", "0"],
         ["verify", "--days", "2", "--tol", "-1"],
+        ["verify", "--days", "2", "--tol", "inf"],
         ["verify", "--days", "5..6", "--grid", "1"],
         # integers in ASCII without "_", as eval reads numbers
         ["solve", "--days", "1_0"],
@@ -135,6 +136,8 @@ def invocations():
         ["solve", "--days", "3", "--format", "xml"],
         ["verify", "--days", "2", "--grid", "4_0"],
         ["verify", "--days", "2", "--seed", "\u0661"],
+        ["verify", "--days", "2", "--tol", "1_0e-7"],
+        ["verify", "--days", "2", "--tol", "\u0661e-6"],
         ["simulate", "--days", "3", "--samples", "1_000"],
         ["simulate", "--days", "3", "--seed", "1_0"],
     ):

@@ -289,6 +289,22 @@ class TestVerify:
         assert "--tol" in err
 
     @pytest.mark.parametrize(
+        "tol, words",
+        [
+            # read as eval reads numbers: ASCII without "_"
+            ("1_0e-7", "invalid float value: '1_0e-7'"),
+            ("١e-6", "invalid float value: '١e-6'"),
+            # an infinite tolerance would pass every ascent
+            ("inf", "--tol must be finite, got inf"),
+            ("1e400", "--tol must be finite, got inf"),
+        ],
+    )
+    def test_tol_refused(self, capsys, tol, words):
+        code, out, err = run_main(capsys, "verify", "--days", "2", "--tol", tol)
+        assert (code, out) == (1, "")
+        assert words in err
+
+    @pytest.mark.parametrize(
         "days, grid",
         [
             ("2..2", "1"),

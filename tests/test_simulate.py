@@ -1,9 +1,12 @@
 """Monte Carlo sampler: exact reproducibility and statistical agreement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surprisemax import (
     SimulationConfig,
@@ -16,7 +19,8 @@ from surprisemax import (
     sample_day,
     tail_masses,
 )
-from surprisemax.simulate import _day_indices
+from surprisemax import simulate as simulate_mod
+from surprisemax.simulate import _day_indices, _tree_sum
 
 
 class TestSampleDay:
@@ -209,3 +213,79 @@ class TestDayLookup:
         result = estimate_expected_surprise(p, SimulationConfig(samples=n, seed=seed))
         assert result.mean == float(np.mean(values))
         assert result.std_error == float(np.std(values, ddof=1) / math.sqrt(n))
+
+
+def reference_estimate(p, n, seed):
+    """``(mean, std_error)`` from the array of every draw's surprise, as NumPy reduces it."""
+    idx = searchsorted_days(np.cumsum(p), SplitMix64(seed).doubles(n), p)
+    tails = tail_masses(p).tolist()
+    per_day = np.array([math.log(t / q) if q > 0.0 else 0.0 for q, t in zip(p.tolist(), tails)])
+    values = per_day[idx]
+    std_error = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(np.mean(values)), std_error
+
+
+# under 8 draws, 8..128, just past 128, multiples of 8 and their
+# neighbours, and many leaves of the small leaf sizes
+LEAF_SAMPLES = [1, 2, 7, 8, 9, 100, 128, 129, 255, 256, 257, 1023, 1024, 1025, 4097, 65537]
+
+
+class TestLeaves:
+    """The sampler walks NumPy's pairwise-sum tree one leaf at a time."""
+
+    @pytest.mark.parametrize("block", [8, 100, 129, 1 << 16])
+    def test_leaf_size_changes_no_bit(self, monkeypatch, block):
+        p = np.concatenate([[0.3, 0.0], 0.7 * rollout(40).p])
+        def estimate(n):
+            result = estimate_expected_surprise(p, SimulationConfig(samples=n, seed=n))
+            return result.mean, result.std_error
+
+        default = {n: estimate(n) for n in LEAF_SAMPLES}
+        monkeypatch.setattr(simulate_mod, "_BLOCK", block)
+        for n in LEAF_SAMPLES:
+            assert estimate(n) == default[n] == reference_estimate(p, n, n), n
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 5000), leaf=st.integers(1, 700), seed=st.integers(0, 2**32 - 1))
+    def test_tree_walk_is_numpy_sum(self, n, leaf, seed):
+        # entries over 30 binades, so a change of order shows in the bits
+        x = np.exp2(np.random.default_rng(seed).uniform(-30.0, 0.0, n))
+        runs = []
+
+        def summed(lo, hi):
+            runs.append((lo, hi))
+            return float(np.add.reduce(x[lo:hi]))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate_mod, "_BLOCK", leaf)
+            assert _tree_sum(n, summed) == float(np.add.reduce(x))
+        # runs of at most the leaf (never splitting 128 or fewer), left to right
+        assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]]
+        assert runs[-1][1] == n
+        assert max(hi - lo for lo, hi in runs) <= max(leaf, 128)
+
+
+class TestMemory:
+    """The draws are held as one compact day index each, not as float64 arrays."""
+
+    @staticmethod
+    def traced_peak(run):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_bounded_in_samples(self):
+        p = rollout(3000).p
+
+        def peak(n):
+            config = SimulationConfig(samples=n, seed=1)
+            return self.traced_peak(lambda: estimate_expected_surprise(p, config))
+
+        small, large = peak(10**6), peak(4 * 10**6)
+        # 2 B of uint16 day per draw, plus fixed leaf buffers
+        assert small < 4.5e6
+        assert large - small <= 2.5 * 3 * 10**6
