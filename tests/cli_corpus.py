@@ -114,6 +114,7 @@ def invocations():
         ["solve", "--days", "2..3"],
         ["table", "--days", "5..2"],
         ["simulate", "--days", "3", "--samples", "0"],
+        ["simulate", "--days", "3", "--samples", "1000000001"],
         ["verify", "--days", "2", "--tol", "-1"],
         ["verify", "--days", "2", "--tol", "inf"],
         ["verify", "--days", "5..6", "--grid", "1"],

@@ -394,6 +394,19 @@ class TestSimulate:
         assert code == 1
         assert "--seed" in err
 
+    @pytest.mark.parametrize("samples, code", [("100", 0), ("101", 1)])
+    def test_sample_cap_refused_before_the_rollout(self, capsys, monkeypatch, samples, code):
+        import surprisemax.cli as cli
+        import surprisemax.simulate as simulate
+
+        monkeypatch.setattr(simulate, "SAMPLE_CAP", 100)
+        horizons = []
+        monkeypatch.setattr(cli, "rollout", lambda m: horizons.append(m) or rollout(m))
+        got, out, err = run_main(capsys, "simulate", "--days", "2", "--samples", samples)
+        assert (got, bool(out), horizons) == (code, code == 0, [2] if code == 0 else [])
+        if code:
+            assert err == "surprisemax: error: --samples: sample count 101 is above the cap of 100\n"
+
 
 class TestIntegerFlags:
     """Every integer flag reads ASCII digits without ``_``, as ``eval`` reads numbers."""

@@ -1,6 +1,8 @@
 """Monte Carlo sampler: exact reproducibility and statistical agreement."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -132,6 +134,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="integer"):
             SimulationConfig(samples=2.5, seed=0)
 
+    def test_sample_cap(self, monkeypatch):
+        assert simulate_mod.SAMPLE_CAP == 10**9
+        monkeypatch.setattr(simulate_mod, "SAMPLE_CAP", 50)
+        assert SimulationConfig(samples=50, seed=0).samples == 50
+        with pytest.raises(ValueError, match="sample count 51 is above the cap of 50"):
+            SimulationConfig(samples=51, seed=0)
+
     def test_seed_out_of_range(self):
         with pytest.raises(ValueError, match="64-bit"):
             SimulationConfig(samples=1, seed=-1)
@@ -242,8 +251,50 @@ class TestLeaves:
 
         default = {n: estimate(n) for n in LEAF_SAMPLES}
         monkeypatch.setattr(simulate_mod, "_BLOCK", block)
-        for n in LEAF_SAMPLES:
-            assert estimate(n) == default[n] == reference_estimate(p, n, n), n
+        # 1, 2 or 3 threads draw leaves of block // workers, whatever the
+        # CPU count of the host
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(simulate_mod, "_workers", lambda: workers)
+            for n in LEAF_SAMPLES:
+                assert estimate(n) == default[n] == reference_estimate(p, n, n), (workers, n)
+
+    def test_frequent_thread_switches_change_no_bit(self, monkeypatch):
+        # three threads on small leaves, switched as often as the interpreter
+        # allows: a lost leaf value or day slice would move the bits
+        p = rollout(300).p
+        n = 200_003
+        expected = reference_estimate(p, n, 5)
+        monkeypatch.setattr(simulate_mod, "_BLOCK", 3 * 1024)
+        monkeypatch.setattr(simulate_mod, "_workers", lambda: 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = estimate_expected_surprise(p, SimulationConfig(samples=n, seed=5))
+        finally:
+            sys.setswitchinterval(interval)
+        assert (result.mean, result.std_error) == expected
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        # the caller's first leaf waits until the helper's has raised, so the
+        # helper is sure to draw one
+        raised = threading.Event()
+        doubles_at = simulate_mod._doubles_at
+
+        def failing(state, n, steps):
+            if threading.current_thread() is not threading.main_thread():
+                raised.set()
+                raise RuntimeError("leaf failed")
+            assert raised.wait(timeout=10)
+            return doubles_at(state, n, steps)
+
+        monkeypatch.setattr(simulate_mod, "_BLOCK", 1024)
+        monkeypatch.setattr(simulate_mod, "_workers", lambda: 2)
+        monkeypatch.setattr(simulate_mod, "_doubles_at", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="leaf failed"):
+            estimate_expected_surprise([0.5, 0.5], SimulationConfig(samples=10_000, seed=1))
+        assert raised.is_set()
+        assert threading.active_count() == threads
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 5000), leaf=st.integers(1, 700), seed=st.integers(0, 2**32 - 1))
