@@ -83,42 +83,20 @@ class SplitMix64:
         n = _check_integer(n, "batch size must be an integer, got {!r}")
         if n < 0:
             raise ValueError(f"batch size {n} is negative")
-        out = _doubles_at(self._state, n)
+        # In place on one uint64 work array; the float64 output doubles as
+        # the scratch array for the shifted words until the last step.
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_INCREMENT)
+        z += np.uint64(self._state)
+        out = np.empty(n)
+        shifted = out.view(np.uint64)
+        z ^= np.right_shift(z, np.uint64(30), out=shifted)
+        z *= np.uint64(_MIX1)
+        z ^= np.right_shift(z, np.uint64(27), out=shifted)
+        z *= np.uint64(_MIX2)
+        z ^= np.right_shift(z, np.uint64(31), out=shifted)
+        z >>= np.uint64(11)
         self._state = (self._state + n * _INCREMENT) & _MASK64
-        return out
-
-
-def _steps(n: int) -> np.ndarray:
-    """``i * INCREMENT mod 2**64`` for i = 1..n, as ``uint64``."""
-    z = np.arange(1, n + 1, dtype=np.uint64)
-    z *= np.uint64(_INCREMENT)
-    return z
-
-
-def _doubles_at(state: int, n: int, steps: np.ndarray | None = None) -> np.ndarray:
-    """The next ``n`` values of ``next_double`` of a generator whose state is ``state``.
-
-    The states drawn from are ``state + i * INCREMENT mod 2**64`` for
-    i = 1..n, so the draws that follow the first k of a seed are those at
-    ``seed + k * INCREMENT``: any run of a stream can be drawn on its own.
-    ``steps``, if given, is ``_steps`` of at least ``n``, built once by a
-    caller that draws many runs.
-    """
-    # In place on one uint64 work array; the float64 output doubles as
-    # the scratch array for the shifted words until the last step.
-    if steps is None:
-        z = _steps(n)
-        z += np.uint64(state)
-    else:
-        z = np.add(steps[:n], np.uint64(state))
-    out = np.empty(n)
-    shifted = out.view(np.uint64)
-    z ^= np.right_shift(z, np.uint64(30), out=shifted)
-    z *= np.uint64(_MIX1)
-    z ^= np.right_shift(z, np.uint64(27), out=shifted)
-    z *= np.uint64(_MIX2)
-    z ^= np.right_shift(z, np.uint64(31), out=shifted)
-    z >>= np.uint64(11)
-    # the words are below 2**53, so read as int64 they convert exactly, and
-    # NumPy converts int64 faster than uint64
-    return np.multiply(z.view(np.int64), _DOUBLE_SCALE, out=out)
+        # the words are below 2**53, so read as int64 they convert exactly, and
+        # NumPy converts int64 faster than uint64
+        return np.multiply(z.view(np.int64), _DOUBLE_SCALE, out=out)

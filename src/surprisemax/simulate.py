@@ -8,33 +8,26 @@ sample mean of the realized surprise of each drawn day.
 The draws are never held as one float64 array.  ``np.mean`` and ``np.std``
 add an array by NumPy's pairwise summation: a run of more than 128 entries
 is added as two halves, the first a multiple of 8 entries long.  The
-sampler walks that tree down to runs of at most ``_BLOCK // workers``
-draws, its leaves.  The generator's state is an arithmetic progression, so
-a leaf starting at draw ``lo`` is drawn from the state ``lo`` steps past
-the seed, and the leaves are drawn on up to two threads (``workers``, the
-usable CPUs, at most 2) in whatever order the threads claim them.  Each
-leaf is drawn, looked up and summed by ``np.add.reduce``, and its days are
-kept as one index per draw of the smallest unsigned type that holds
-``m - 1`` (1 byte up to 256 days, 2 up to 65,536).  The leaf sums are then
-added in the tree's order, and a second walk does the same for the squared
-deviations.  So the mean and the standard error have the bits of
-``np.mean`` and ``np.std(ddof=1)`` over every draw's surprise, whatever the
-leaf size, the CPU count or the order the threads run in.  Memory is the
-days plus about 1.9 MB of leaf buffers: ``_BLOCK`` draws in flight however
-many threads draw them.
+sampler walks that tree and stops at runs of at most ``_BLOCK`` (2^16)
+draws, its leaves, left to right on one generator.  Each leaf is drawn,
+looked up and summed by ``np.add.reduce``, and its days are kept as one
+index per draw of the smallest unsigned type that holds ``m - 1`` (1 byte
+up to 256 days, 2 up to 65,536).  A second walk sums the squared
+deviations over the same leaves.  So the mean and the standard error have
+the bits of ``np.mean`` and ``np.std(ddof=1)`` over every draw's surprise,
+whatever the leaf size, and memory is the days plus fixed leaf buffers of
+about 1.6 MB.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .objective import _PAIRWISE_RUN, _check_integer, _split, _tails, as_probability_vector
-from .rng import _INCREMENT, _MASK64, SplitMix64, _check_seed, _doubles_at, _steps
+from .rng import SplitMix64, _check_seed
 
 __all__ = [
     "SAMPLE_CAP",
@@ -74,9 +67,9 @@ class SimulationResult:
 # Most cumulative masses one guide bucket may hold before its keys are
 # finished by binary search instead of by stepping.
 _GUIDE_STEPS = 8
-# Draws in flight: each of the sampler's threads holds the keys, days and
-# values of one leaf of _BLOCK // workers draws at a time.  Runs NumPy adds
-# whole are never split, so any leaf size gives the same bits.
+# Draws per leaf of the pairwise-sum tree: the sampler holds the keys, days
+# and values of one leaf at a time.  Runs NumPy adds whole are never split,
+# so any leaf size gives the same bits.
 _BLOCK = 1 << 16
 
 
@@ -136,72 +129,16 @@ def _day_indices(cum: np.ndarray, u: np.ndarray, p: np.ndarray) -> np.ndarray:
     return _day_lookup(cum, p, u.size)(u)
 
 
-def _tree_sum(n: int, leaf, start: int = 0, block: int | None = None) -> float:
+def _tree_sum(n: int, leaf, start: int = 0) -> float:
     # np.add.reduce of n nonnegative entries: 0.0 plus NumPy's pairwise sum.
-    # The tree is walked down to runs of at most `block` (default _BLOCK)
-    # entries (runs of _PAIRWISE_RUN or fewer are never split), and
-    # leaf(lo, hi), called on them left to right, gives np.add.reduce of
-    # entries lo..hi-1.  A nonnegative sum is never -0.0, so the 0.0 each
-    # leaf adds changes nothing.
-    block = _BLOCK if block is None else block
-    if n <= max(block, _PAIRWISE_RUN):
+    # The tree is walked down to runs of at most _BLOCK entries (runs of
+    # _PAIRWISE_RUN or fewer are never split), and leaf(lo, hi), called on
+    # them left to right, gives np.add.reduce of entries lo..hi-1.  A
+    # nonnegative sum is never -0.0, so the 0.0 each leaf adds changes nothing.
+    if n <= max(_BLOCK, _PAIRWISE_RUN):
         return leaf(start, start + n)
     half = _split(n)
-    return _tree_sum(half, leaf, start, block) + _tree_sum(n - half, leaf, start + half, block)
-
-
-def _workers() -> int:
-    # Threads that draw leaves: the usable CPUs, at most 2.  Each NumPy call
-    # of a leaf hands the interpreter lock over, which costs more per draw
-    # the smaller the leaf, and a third thread would cut the leaves to a
-    # third of _BLOCK.
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except AttributeError:
-        usable = os.cpu_count() or 1
-    return min(2, usable)
-
-
-def _leaf_sum(n: int, leaf, block: int, workers: int) -> float:
-    """``_tree_sum(n, leaf, block=block)``, its leaves computed on ``workers`` threads.
-
-    The calling thread and ``workers - 1`` helpers claim leaves from a
-    shared counter, in any order, and store each value at its leaf; the
-    values are then added in the tree's order, so the sum has the same bits
-    for any thread count and any thread order.  With one worker no thread
-    starts.  The first error of any thread is raised here once every thread
-    has stopped.
-    """
-    runs: list[tuple[int, int]] = []
-    _tree_sum(n, lambda lo, hi: runs.append((lo, hi)) or 0.0, block=block)
-    values = [0.0] * len(runs)
-    claimed = iter(range(len(runs)))
-    lock = threading.Lock()
-    failed: list[BaseException] = []
-
-    def work() -> None:
-        try:
-            while not failed:
-                with lock:
-                    i = next(claimed, None)
-                if i is None:
-                    return
-                values[i] = leaf(*runs[i])
-        except BaseException as exc:  # re-raised in the caller after the join
-            failed.append(exc)
-
-    helpers = [threading.Thread(target=work) for _ in range(min(workers, len(runs)) - 1)]
-    for helper in helpers:
-        helper.start()
-    try:
-        work()
-    finally:
-        for helper in helpers:
-            helper.join()
-    if failed:
-        raise failed[0]
-    ordered = iter(values)
-    return _tree_sum(n, lambda lo, hi: next(ordered), block=block)
+    return _tree_sum(half, leaf, start) + _tree_sum(n - half, leaf, start + half)
 
 
 def sample_day(p, rng: SplitMix64) -> int:
@@ -231,31 +168,24 @@ def estimate_expected_surprise(p, config: SimulationConfig) -> SimulationResult:
     ratios = np.divide(_tails(v), v, out=np.ones_like(v), where=v > 0.0)
     per_day = np.fromiter(map(math.log, ratios.tolist()), float, v.size)
     days_of = _day_lookup(np.cumsum(v), v, n)
+    rng = SplitMix64(config.seed)
     days = np.empty(n, dtype=np.min_scalar_type(v.size - 1))
-    workers = _workers()
-    # each worker's leaf holds _BLOCK // workers draws, so all of them hold _BLOCK
-    block = _BLOCK // workers
-    steps = _steps(min(n, max(block, _PAIRWISE_RUN)))
-    seed = config.seed
 
     def drawn(lo: int, hi: int) -> float:
-        # the draws of lo..hi-1 start from the state lo steps past the seed
-        idx = days_of(_doubles_at((seed + lo * _INCREMENT) & _MASK64, hi - lo, steps))
+        # the leaves come left to right, so the draws come in order
+        idx = days_of(rng.doubles(hi - lo))
         days[lo:hi] = idx
         return float(np.add.reduce(np.take(per_day, idx)))
 
-    mean = _leaf_sum(n, drawn, block, workers) / n
+    mean = _tree_sum(n, drawn) / n
     if n > 1:
         # np.var's squared deviations, one per day instead of one per draw
         dev2 = per_day - mean
         dev2 *= dev2
         # days widened to intp first: NumPy gathers by uint8/uint16 indices
         # at about half the speed
-        squares = _leaf_sum(
-            n,
-            lambda lo, hi: float(np.add.reduce(np.take(dev2, days[lo:hi].astype(np.intp)))),
-            block,
-            workers,
+        squares = _tree_sum(
+            n, lambda lo, hi: float(np.add.reduce(np.take(dev2, days[lo:hi].astype(np.intp))))
         )
         std_error = math.sqrt(squares / (n - 1)) / math.sqrt(n)
     else:

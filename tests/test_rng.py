@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from surprisemax import SplitMix64
-from surprisemax.rng import _INCREMENT, _doubles_at, _steps
 
 # Reference outputs of the standard SplitMix64 algorithm.  The seed-0 values
 # match the widely circulated vectors for the original C code, so any
@@ -104,16 +103,6 @@ class TestDoubleBatch:
 
     def test_numpy_integer_batch_size(self):
         assert np.array_equal(SplitMix64(3).doubles(np.int64(4)), SplitMix64(3).doubles(4))
-
-    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64 - _INCREMENT])
-    @pytest.mark.parametrize("k", [0, 1, 65535])
-    @pytest.mark.parametrize("n", [1, 2, 1000])
-    def test_draws_at_an_offset(self, seed, k, n):
-        # the state k steps past the seed draws what the seed draws after k
-        state = (seed + k * _INCREMENT) % 2**64
-        expected = SplitMix64(seed).doubles(k + n)[k:]
-        assert np.array_equal(_doubles_at(state, n), expected)
-        assert np.array_equal(_doubles_at(state, n, _steps(n + 5)), expected)
 
     def test_split_batches_match_one_batch(self):
         one = SplitMix64(99).doubles(100)

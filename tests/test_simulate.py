@@ -1,8 +1,6 @@
 """Monte Carlo sampler: exact reproducibility and statistical agreement."""
 
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -251,50 +249,8 @@ class TestLeaves:
 
         default = {n: estimate(n) for n in LEAF_SAMPLES}
         monkeypatch.setattr(simulate_mod, "_BLOCK", block)
-        # 1, 2 or 3 threads draw leaves of block // workers, whatever the
-        # CPU count of the host
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(simulate_mod, "_workers", lambda: workers)
-            for n in LEAF_SAMPLES:
-                assert estimate(n) == default[n] == reference_estimate(p, n, n), (workers, n)
-
-    def test_frequent_thread_switches_change_no_bit(self, monkeypatch):
-        # three threads on small leaves, switched as often as the interpreter
-        # allows: a lost leaf value or day slice would move the bits
-        p = rollout(300).p
-        n = 200_003
-        expected = reference_estimate(p, n, 5)
-        monkeypatch.setattr(simulate_mod, "_BLOCK", 3 * 1024)
-        monkeypatch.setattr(simulate_mod, "_workers", lambda: 3)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            result = estimate_expected_surprise(p, SimulationConfig(samples=n, seed=5))
-        finally:
-            sys.setswitchinterval(interval)
-        assert (result.mean, result.std_error) == expected
-
-    def test_helper_error_reaches_the_caller(self, monkeypatch):
-        # the caller's first leaf waits until the helper's has raised, so the
-        # helper is sure to draw one
-        raised = threading.Event()
-        doubles_at = simulate_mod._doubles_at
-
-        def failing(state, n, steps):
-            if threading.current_thread() is not threading.main_thread():
-                raised.set()
-                raise RuntimeError("leaf failed")
-            assert raised.wait(timeout=10)
-            return doubles_at(state, n, steps)
-
-        monkeypatch.setattr(simulate_mod, "_BLOCK", 1024)
-        monkeypatch.setattr(simulate_mod, "_workers", lambda: 2)
-        monkeypatch.setattr(simulate_mod, "_doubles_at", failing)
-        threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="leaf failed"):
-            estimate_expected_surprise([0.5, 0.5], SimulationConfig(samples=10_000, seed=1))
-        assert raised.is_set()
-        assert threading.active_count() == threads
+        for n in LEAF_SAMPLES:
+            assert estimate(n) == default[n] == reference_estimate(p, n, n), n
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 5000), leaf=st.integers(1, 700), seed=st.integers(0, 2**32 - 1))
