@@ -35,7 +35,6 @@ from .objective import as_probability_vector, gradient_sm2, objective_values, ta
 from .oracles import AscentConfig, GridSpec, _check_grid_points, grid_search, ascent_optimize
 from .rng import _check_seed
 from .simulate import SimulationConfig, estimate_expected_surprise
-from . import solver
 from .solver import SolveResult, _stationarity, _telescope_residuals, rollout
 
 __all__ = ["main", "format_float", "format_floats"]
@@ -187,6 +186,9 @@ def load_distribution(path: str) -> np.ndarray:
                 text = handle.read()
         except OSError as exc:
             raise _ParseFailure(f"cannot read {path}: {exc.strerror or exc}")
+        except UnicodeDecodeError as exc:
+            # read() decodes the whole file at once, so ``start`` counts from its first byte
+            raise _ParseFailure(f"{path}: not UTF-8 at byte offset {exc.start}: {exc.reason}")
     stripped = text.strip()
     if not stripped:
         raise _ParseFailure(f"{path}: empty input")
@@ -232,22 +234,16 @@ def load_distribution(path: str) -> np.ndarray:
 
 # Long columns are rendered this many entries at a time, so no full column
 # of text is ever held at once.  Runs are counted from the column's end,
-# short run first, so the kept days (``_kept_days``) are a whole number of runs.
+# short run first, so the kept days are a whole number of runs.
 _CHUNK = 4096
+# Runs of the gamma and hazard text kept per process: 2^16 days.
+_KEPT_RUNS = 16
 # the longest text of a float64, as in -2.2250738585072014e-308
 _FIELD_BYTES = 24
 
 
 def _chunks(n: int):
     return ((max(0, hi - _CHUNK), hi) for hi in range(n % _CHUNK or _CHUNK, n + 1, _CHUNK))
-
-
-def _kept_days() -> int:
-    """The solver's cap on its kept days, read when called: a whole number of runs."""
-    cap = solver._RETAINED_DAYS
-    if cap % _CHUNK:
-        raise RuntimeError(f"{cap} kept days are not a whole number of {_CHUNK}-day runs")
-    return cap
 
 
 def _left_aligned(texts: list[str]) -> np.ndarray:
@@ -309,7 +305,7 @@ class _SequenceText:
     Each entry's text is kept at the start of a row of ``_FIELD_BYTES``
     bytes, zero after it, in the solver's descending order of days left
     ``k``, so any run of days of any horizon is a slice of rows.  The rows
-    grow lazily to the days asked for, up to the solver's cap, rendered from
+    grow lazily to the days asked for, up to ``_KEPT_RUNS`` runs, rendered from
     the asking horizon's own column in ``_CHUNK``-entry pieces; a run that
     reaches further back is rendered on each use.  A growth copies the 24 B
     of each stored day, far less than the rendering of the horizon that asks
@@ -323,7 +319,7 @@ class _SequenceText:
     def fields(self, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The rows of entries ``lo..hi`` of ``values``, this column of one horizon."""
         m = values.size
-        if m - lo > _kept_days():
+        if m - lo > _KEPT_RUNS * _CHUNK:
             return _padded(values[lo:hi])
         fields = self._fields
         stored = len(fields)

@@ -106,21 +106,28 @@ def tail_masses(p) -> np.ndarray:
 _PAIRWISE_RUN = 128
 
 
-def _split(n: int) -> int:
-    # The first half, a multiple of 8 long, of a run of more than
-    # _PAIRWISE_RUN entries, which NumPy's pairwise summation adds as two.
-    return n // 2 - n // 2 % 8
+def _tree_sum(n: int, leaf, block: int, start: int = 0):
+    """NumPy's pairwise sum of ``n`` entries, walked down to runs of at most ``block``.
+
+    A run of more than ``_PAIRWISE_RUN`` entries is added as two halves, the
+    first a multiple of 8 entries long; shorter runs are never split.
+    ``leaf(lo, hi)``, called on the runs left to right, sums entries
+    ``lo..hi-1`` as NumPy adds a run it does not split.  This module owns
+    that order for both of its callers: ``_scored``'s column blocks, whose
+    leaf is ``_pairwise``, and the Monte Carlo sampler, whose leaves are
+    ``np.add.reduce`` of up to 2^16 draws.
+    """
+    if n <= max(block, _PAIRWISE_RUN):
+        return leaf(start, start + n)
+    half = n // 2 - n // 2 % 8
+    return _tree_sum(half, leaf, block, start) + _tree_sum(n - half, leaf, block, start + half)
 
 
 def _pairwise(x: np.ndarray) -> np.ndarray:
-    # NumPy's pairwise summation of a contiguous run, over the rows of ``x``:
-    # under 8 rows in order; up to 128 in 8 interleaved partial sums, combined
-    # as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in order; more
-    # than that as the two halves of ``_split``.
+    # NumPy's sum of an unsplit run, over the rows of ``x``: under 8 rows in
+    # order; up to 128 in 8 interleaved partial sums, combined as
+    # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in order.
     n = len(x)
-    if n > _PAIRWISE_RUN:
-        half = _split(n)
-        return _pairwise(x[:half]) + _pairwise(x[half:])
     if n < 8:
         total = x[0].copy()
         rest = x[1:]
@@ -163,7 +170,10 @@ def _scored(p: np.ndarray, columns: bool = False):
         np.copyto(terms, 0.0, where=rough)
     else:
         rough = None
-    sm2 = 0.0 + _pairwise(terms) if columns else terms.sum(axis=-1)
+    if columns:
+        sm2 = 0.0 + _tree_sum(len(terms), lambda lo, hi: _pairwise(terms[lo:hi]), _PAIRWISE_RUN)
+    else:
+        sm2 = terms.sum(axis=-1)
     return sm2, rough, t, log_p, log_t
 
 
@@ -216,7 +226,15 @@ def gradient_sm2(p) -> np.ndarray:
     if not np.all(v > 0.0):
         raise ValueError("gradient needs every entry strictly positive")
     t = _tails(v)
-    return np.log(v) + 1.0 - np.log(t) - np.cumsum(v / t)
+    return _gradient(v, t, np.log(v), np.log(t))
+
+
+def _gradient(p: np.ndarray, t: np.ndarray, log_p: np.ndarray, log_t: np.ndarray) -> np.ndarray:
+    """``log p + 1 - log T - cumsum(p / T)`` along the last axis, from the tails and logs."""
+    g = log_p + 1.0
+    g -= log_t
+    g -= np.cumsum(p / t, axis=-1)
+    return g
 
 
 def realized_surprise(p, day: int) -> float:

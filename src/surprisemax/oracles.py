@@ -25,6 +25,7 @@ import numpy as np
 
 from .objective import (
     _check_integer,
+    _gradient,
     _scored,
     _sm2,
     as_probability_vector,
@@ -270,8 +271,8 @@ def _ascend(starts: np.ndarray, config: AscentConfig):
     and score are Python floats, and its move is decided in a short loop;
     the settle test, the copy and the next gradient then act on the runs that
     moved only, so a refused step costs just its candidate's score.  A new
-    iterate's gradient is built from the tails and logs that scored it, in
-    ``gradient_sm2``'s operation order.  ``gradient_sm2`` checks each start,
+    iterate's gradient is ``gradient_sm2``'s formula, ``_gradient``, on the
+    tails and logs that scored it.  ``gradient_sm2`` checks each start,
     and any iterate about to step from a zero or NaN entry, which it then
     names.
     """
@@ -319,11 +320,7 @@ def _ascend(starts: np.ndarray, config: AscentConfig):
                         if rough[i].any():
                             gradient_sm2(q[i])
                 rows = _gathered(walk, len(runs))
-                ratio = q[rows] / t[rows]
-                grad = log_q[rows] + 1.0
-                grad -= log_t[rows]
-                grad -= ratio.cumsum(axis=1)
-                g[rows] = grad
+                g[rows] = _gradient(q[rows], t[rows], log_q[rows], log_t[rows])
             if ends:
                 for i, ok in ends.items():
                     points[runs[i]] = p[i]

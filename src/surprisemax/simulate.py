@@ -6,17 +6,16 @@ triple pins the estimate down to the bit.  The estimator is the plain
 sample mean of the realized surprise of each drawn day.
 
 The draws are never held as one float64 array.  ``np.mean`` and ``np.std``
-add an array by NumPy's pairwise summation: a run of more than 128 entries
-is added as two halves, the first a multiple of 8 entries long.  The
-sampler walks that tree and stops at runs of at most ``_BLOCK`` (2^16)
-draws, its leaves, left to right on one generator.  Each leaf is drawn,
-looked up and summed by ``np.add.reduce``, and its days are kept as one
-index per draw of the smallest unsigned type that holds ``m - 1`` (1 byte
-up to 256 days, 2 up to 65,536).  A second walk sums the squared
-deviations over the same leaves.  So the mean and the standard error have
-the bits of ``np.mean`` and ``np.std(ddof=1)`` over every draw's surprise,
-whatever the leaf size, and memory is the days plus fixed leaf buffers of
-about 1.6 MB.
+add an array by NumPy's pairwise summation, whose split tree
+``objective._tree_sum`` walks.  The sampler stops it at runs of at most
+``_BLOCK`` (2^16) draws, its leaves, left to right on one generator.  Each
+leaf is drawn, looked up and summed by ``np.add.reduce``, and its days are
+kept as one index per draw of the smallest unsigned type that holds
+``m - 1`` (1 byte up to 256 days, 2 up to 65,536).  A second walk sums the
+squared deviations over the same leaves.  So the mean and the standard
+error have the bits of ``np.mean`` and ``np.std(ddof=1)`` over every draw's
+surprise, whatever the leaf size, and memory is the days plus fixed leaf
+buffers of about 1.6 MB.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import _PAIRWISE_RUN, _check_integer, _split, _tails, as_probability_vector
+from .objective import _check_integer, _tails, _tree_sum, as_probability_vector
 from .rng import SplitMix64, _check_seed
 
 __all__ = [
@@ -73,8 +72,8 @@ _GUIDE_STEPS = 8
 _BLOCK = 1 << 16
 
 
-def _day_lookup(cum: np.ndarray, p: np.ndarray, keys: int):
-    """A function from keys u in [0, 1) to their 0-based days, for ``keys`` keys in all.
+def _day_lookup(cum: np.ndarray, p: np.ndarray):
+    """A function from keys u in [0, 1) to their 0-based days.
 
     The day of u is the first index whose cumulative mass exceeds it, i.e.
     ``np.searchsorted(cum, u, side="right")``.  A zero-probability day owns an
@@ -86,16 +85,6 @@ def _day_lookup(cum: np.ndarray, p: np.ndarray, keys: int):
     m = cum.size
     last = int(np.flatnonzero(p > 0.0)[-1])
     short = cum[-1] < 1.0
-    buckets = 1 << (m - 1).bit_length()
-    if keys < buckets:
-        # Fewer keys than buckets: building the table costs more than it saves.
-        def days(u: np.ndarray) -> np.ndarray:
-            idx = np.searchsorted(cum, u, side="right")
-            if short:
-                idx[idx >= m] = last
-            return idx
-
-        return days
     # A guide table: [0, 1) is cut into `buckets` (a power of two) equal
     # buckets, and guide[b] counts the masses <= b/buckets.  floor(u*buckets)
     # is exact for a power of two, so a key in bucket b starts at guide[b]
@@ -103,6 +92,7 @@ def _day_lookup(cum: np.ndarray, p: np.ndarray, keys: int):
     # step moves it past one of them.  Keys in buckets wider than
     # _GUIDE_STEPS that are still short after the steps finish by binary
     # search.
+    buckets = 1 << (m - 1).bit_length()
     guide = np.searchsorted(cum, np.arange(buckets + 1) / buckets, side="right")
     padded = np.append(cum, np.inf)
     widest = int(np.diff(guide).max())
@@ -124,29 +114,12 @@ def _day_lookup(cum: np.ndarray, p: np.ndarray, keys: int):
     return days
 
 
-def _day_indices(cum: np.ndarray, u: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # 0-based day of each key u in [0, 1); see _day_lookup.
-    return _day_lookup(cum, p, u.size)(u)
-
-
-def _tree_sum(n: int, leaf, start: int = 0) -> float:
-    # np.add.reduce of n nonnegative entries: 0.0 plus NumPy's pairwise sum.
-    # The tree is walked down to runs of at most _BLOCK entries (runs of
-    # _PAIRWISE_RUN or fewer are never split), and leaf(lo, hi), called on
-    # them left to right, gives np.add.reduce of entries lo..hi-1.  A
-    # nonnegative sum is never -0.0, so the 0.0 each leaf adds changes nothing.
-    if n <= max(_BLOCK, _PAIRWISE_RUN):
-        return leaf(start, start + n)
-    half = _split(n)
-    return _tree_sum(half, leaf, start) + _tree_sum(n - half, leaf, start + half)
-
-
 def sample_day(p, rng: SplitMix64) -> int:
     """Draw one event day (1-based) from the schedule by inverse CDF."""
     v = as_probability_vector(p)
     cum = np.cumsum(v)
     u = np.array([rng.next_double()])
-    return int(_day_indices(cum, u, v)[0]) + 1
+    return int(_day_lookup(cum, v)(u)[0]) + 1
 
 
 def estimate_expected_surprise(p, config: SimulationConfig) -> SimulationResult:
@@ -167,17 +140,19 @@ def estimate_expected_surprise(p, config: SimulationConfig) -> SimulationResult:
     # way; math.log, not np.log, keeps each entry bit-equal to it.
     ratios = np.divide(_tails(v), v, out=np.ones_like(v), where=v > 0.0)
     per_day = np.fromiter(map(math.log, ratios.tolist()), float, v.size)
-    days_of = _day_lookup(np.cumsum(v), v, n)
+    days_of = _day_lookup(np.cumsum(v), v)
     rng = SplitMix64(config.seed)
     days = np.empty(n, dtype=np.min_scalar_type(v.size - 1))
 
+    # np.add.reduce is 0.0 plus the pairwise sum; a nonnegative sum is never
+    # -0.0, so the 0.0 each leaf adds changes nothing
     def drawn(lo: int, hi: int) -> float:
         # the leaves come left to right, so the draws come in order
         idx = days_of(rng.doubles(hi - lo))
         days[lo:hi] = idx
         return float(np.add.reduce(np.take(per_day, idx)))
 
-    mean = _tree_sum(n, drawn) / n
+    mean = _tree_sum(n, drawn, _BLOCK) / n
     if n > 1:
         # np.var's squared deviations, one per day instead of one per draw
         dev2 = per_day - mean
@@ -185,7 +160,8 @@ def estimate_expected_surprise(p, config: SimulationConfig) -> SimulationResult:
         # days widened to intp first: NumPy gathers by uint8/uint16 indices
         # at about half the speed
         squares = _tree_sum(
-            n, lambda lo, hi: float(np.add.reduce(np.take(dev2, days[lo:hi].astype(np.intp))))
+            n, lambda lo, hi: float(np.add.reduce(np.take(dev2, days[lo:hi].astype(np.intp)))),
+            _BLOCK,
         )
         std_error = math.sqrt(squares / (n - 1)) / math.sqrt(n)
     else:

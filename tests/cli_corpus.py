@@ -167,15 +167,20 @@ def main() -> int:
         return 0
     with open(MANIFEST, encoding="utf-8") as handle:
         entries = json.load(handle)
+    compared = [entry for entry in entries if entry.get("python", PYTHON) == PYTHON]
     moved = [
         entry["argv"]
-        for entry in entries
-        if entry.get("python", PYTHON) == PYTHON
-        and digest(*run(entry["argv"], entry["stdin"])) != entry["sha256"]
+        for entry in compared
+        if digest(*run(entry["argv"], entry["stdin"])) != entry["sha256"]
     ]
     for argv in moved:
         print("moved:", " ".join(argv), file=sys.stderr)
-    print(f"{len(entries) - len(moved)} of {len(entries)} entries equal", file=sys.stderr)
+    skipped = len(entries) - len(compared)
+    print(
+        f"{len(compared) - len(moved)} of {len(compared)} compared entries equal; "
+        f"{skipped} skipped, written under another Python",
+        file=sys.stderr,
+    )
     return 1 if moved else 0
 
 

@@ -1,20 +1,27 @@
 """Command-line behavior: schemas, exit codes, parsing, determinism."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surprisemax import (
     eval_sm2,
     gamma_sequence,
     rollout,
     stationarity_residual,
+    tail_masses,
     telescope_residual,
 )
-from surprisemax.cli import _VERIFY_MASSES, main
+from surprisemax.cli import _VERIFY_MASSES, format_floats, load_distribution, main
 
 SOLVE_KEYS = ["m", "gamma0", "gamma", "p", "objective", "value_at_root"]
 OBJECTIVE_KEYS = ["sm1", "sm2", "expected_surprise"]
@@ -232,6 +239,48 @@ class TestEval:
         code, _, err = run_main(capsys, "eval", "--input", str(path))
         assert code == 3
         assert "nonnegative" in err
+
+    @pytest.mark.parametrize(
+        "data, offset", [(b"0.5\n0.5\xff\n", 7), (b"0.5\n" * 3000 + b"\xff0.5\n", 12000)]
+    )
+    def test_file_not_utf8_is_parse_error(self, tmp_path, capsys, data, offset):
+        # the offset counts from the file's first byte, past the reader's
+        # 8 KiB buffer too
+        path = tmp_path / "latin.txt"
+        path.write_bytes(data)
+        code, out, err = run_main(capsys, "eval", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert err == (
+            f"surprisemax: error: {path}: not UTF-8 at byte offset {offset}: invalid start byte\n"
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.sampled_from([0.0, 0.1, 0.5]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_round_trip(self, m, zeros, seed, as_json):
+        # a schedule written as format_floats text reads back to its bits,
+        # and eval prints it as that text
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.ones(m))
+        p[rng.random(m) < zeros] = 0.0
+        if not p.any():
+            p[rng.integers(m)] = 1.0
+        p /= p.sum()
+        texts = format_floats(p)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "p.json" if as_json else "p.txt")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(f"[{', '.join(texts)}]" if as_json else "\n".join(texts) + "\n")
+            assert load_distribution(path).tobytes() == p.tobytes()
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(["eval", "--input", path, "--format", "json"]) == 0
+        assert f'"p": [{", ".join(texts)}], ' in out.getvalue()
+        tail = np.array(json.loads(out.getvalue())["tail"], dtype=np.float64)
+        assert tail.tobytes() == tail_masses(p).tobytes()
 
 
 class TestVerify:

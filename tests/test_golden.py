@@ -286,14 +286,7 @@ def test_chunks_counted_from_the_end(n):
     # every whole number of runs back from the end is a run boundary: at the
     # cap, the first kept day of a longer horizon
     assert {n - k for k in range(cli._CHUNK, n, cli._CHUNK)} <= set(edges)
-    assert CAP % cli._CHUNK == 0
-
-
-def test_kept_days_are_whole_runs(monkeypatch):
-    assert cli._kept_days() == CAP
-    monkeypatch.setattr(solver_mod, "_RETAINED_DAYS", CAP + cli._CHUNK // 2)
-    with pytest.raises(RuntimeError, match="whole number"):
-        cli._kept_days()
+    assert CAP == cli._KEPT_RUNS * cli._CHUNK
 
 
 class TestSharedText:
@@ -434,6 +427,7 @@ class TestRowLayout:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver_mod, "_RETAINED_DAYS", cap)
             patch.setattr(cli, "_CHUNK", run)
+            patch.setattr(cli, "_KEPT_RUNS", cap // run)
             patch.setattr(solver_mod, "_shared", fresh)
             for store in (cli._GAMMA_TEXT, cli._HAZARD_TEXT):
                 patch.setattr(store, "_fields", cli._SequenceText()._fields)

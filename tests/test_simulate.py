@@ -20,7 +20,8 @@ from surprisemax import (
     tail_masses,
 )
 from surprisemax import simulate as simulate_mod
-from surprisemax.simulate import _day_indices, _tree_sum
+from surprisemax.objective import _tree_sum
+from surprisemax.simulate import _day_lookup
 
 
 class TestSampleDay:
@@ -202,12 +203,12 @@ class TestDayLookup:
         p = LOOKUP_SCHEDULES[name]()
         cum = np.cumsum(p)
         u = lookup_keys(cum)
-        got = _day_indices(cum, u, p)
+        got = _day_lookup(cum, p)(u)
         assert np.array_equal(got, searchsorted_days(cum, u, p))
 
     def test_short_mass_falls_back_to_last_day_with_mass(self):
         p = LOOKUP_SCHEDULES["short-trailing-zero"]()
-        assert _day_indices(np.cumsum(p), np.array([1.0 - 2.0**-53]), p).tolist() == [2]
+        assert _day_lookup(np.cumsum(p), p)(np.array([1.0 - 2.0**-53])).tolist() == [2]
 
     @pytest.mark.parametrize("seed", [1, 2**64 - 1])
     def test_estimate_matches_searchsorted_reference(self, seed):
@@ -263,9 +264,7 @@ class TestLeaves:
             runs.append((lo, hi))
             return float(np.add.reduce(x[lo:hi]))
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(simulate_mod, "_BLOCK", leaf)
-            assert _tree_sum(n, summed) == float(np.add.reduce(x))
+        assert _tree_sum(n, summed, leaf) == float(np.add.reduce(x))
         # runs of at most the leaf (never splitting 128 or fewer), left to right
         assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]]
         assert runs[-1][1] == n
