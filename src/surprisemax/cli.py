@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from .objective import as_probability_vector, gradient_sm2, objective_values, tail_masses
-from .oracles import AscentConfig, GridSpec, _check_grid_points, grid_search, ascent_optimize
+from .oracles import AscentConfig, GridSpec, ascent_optimize, grid_search
+from .oracles import _check_grid_points, _check_tolerance
 from .rng import _check_seed
 from .simulate import SimulationConfig, estimate_expected_surprise
 from .solver import SolveResult, _stationarity, _telescope_residuals, rollout
@@ -127,9 +127,10 @@ def _parse_days_span(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_seed(value: int) -> int:
+def _flag_value(check, value, flag: str):
+    """``check(value, flag)``; its ``ValueError``, which names ``flag``, is a usage error."""
     try:
-        return _check_seed(value, "--seed")
+        return check(value, flag)
     except ValueError as exc:
         raise _UsageError(str(exc))
 
@@ -455,7 +456,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_simulate(args) -> int:
     m = _parse_single_days(args.days)
-    config = _checked("--samples", SimulationConfig, args.samples, _parse_seed(args.seed))
+    seed = _flag_value(_check_seed, args.seed, "--seed")
+    config = _checked("--samples", SimulationConfig, args.samples, seed)
     result = rollout(m)
     sim = estimate_expected_surprise(result.p, config)
     analytic = result.gamma[0] - 1.0
@@ -485,16 +487,15 @@ _GRID_RESOLUTIONS = {2: 10_000, 3: 1_000}
 def _verify_checks(m: int, seed: int, tol: float, grid: GridSpec | None):
     """``(label, gap, tol)`` of each check of horizon ``m``, computed as it is reached.
 
-    ``grid``, if given, replaces the default grid of the scan.  Horizon
-    ``m`` is rolled out once, and the oracles are handed its schedule.
+    ``grid``, if given, replaces the default grid of the scan.
     """
     result = rollout(m)
-    report = ascent_optimize(m, AscentConfig(seed=seed), tol, _closed_form_point=result.p)
+    report = ascent_optimize(m, AscentConfig(seed=seed), tol)
     yield "ascent-linf", report.linf_gap, tol
     yield "ascent-objective", abs(report.best_value - result.value_at_root), _OBJECTIVE_TOL
     if m in _GRID_RESOLUTIONS:
         spec = grid or GridSpec(_GRID_RESOLUTIONS[m])
-        found = grid_search(m, spec, _closed_form_point=result.p)
+        found = grid_search(m, spec)
         yield f"grid-linf N={spec.resolution}", found.linf_gap, found.tolerance
     if m >= 2:
         masses = np.array(_VERIFY_MASSES)[:, None]
@@ -507,11 +508,8 @@ def _verify_checks(m: int, seed: int, tol: float, grid: GridSpec | None):
 
 def _cmd_verify(args) -> int:
     lo, hi = _parse_days_span(args.days)
-    seed = _parse_seed(args.seed)
-    if not args.tol > 0.0:
-        raise _UsageError(f"--tol must be positive, got {args.tol}")
-    if args.tol == math.inf:
-        raise _UsageError(f"--tol must be finite, got {args.tol}")
+    seed = _flag_value(_check_seed, args.seed, "--seed")
+    _flag_value(_check_tolerance, args.tol, "--tol")
     grid = None if args.grid is None else _checked("--grid", GridSpec, args.grid)
     for m in _GRID_RESOLUTIONS:
         if grid is not None and lo <= m <= hi:

@@ -117,6 +117,16 @@ class OracleReport:
     converged: bool = True
 
 
+def _check_tolerance(value, name: str = "tolerance") -> float:
+    """``value`` as a ``float``; anything but a positive, finite number raises."""
+    value = float(value)
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _report(
     closed: np.ndarray, point: np.ndarray, value: float, tolerance: float, converged: bool = True
 ) -> OracleReport:
@@ -197,20 +207,17 @@ def _check_grid_points(m: int, resolution: int) -> None:
         raise ValueError(f"grid has {count} points, above the cap of {GRID_POINT_CAP}")
 
 
-def grid_search(
-    m, spec: GridSpec, tolerance: float | None = None, *, _closed_form_point=None
-) -> OracleReport:
+def grid_search(m, spec: GridSpec, tolerance: float | None = None) -> OracleReport:
     """Scan every lattice point ``k/N`` of the simplex for the best score.
 
     Deterministic: points are visited in lexicographic order and ties keep
     the earliest point, so the result does not depend on blocking; each
     point scores the bits ``eval_sm2_batch`` gives it as a row.  The
     default agreement tolerance is two lattice steps, ``2 / N``.
-    ``_closed_form_point`` is horizon ``m``'s rolled-out schedule, passed by
-    a caller that already holds it; it is not public.
     """
     m = _check_days(m)
     n = spec.resolution
+    tol = 2.0 / n if tolerance is None else _check_tolerance(tolerance)
     _check_grid_points(m, n)
 
     minimize = spec.sense is SearchSense.MINIMIZE_SM2
@@ -227,9 +234,7 @@ def grid_search(
                 best_point = block[:, i].copy()
 
     assert best_point is not None and best_value is not None
-    tol = 2.0 / n if tolerance is None else float(tolerance)
-    closed = rollout(m).p if _closed_form_point is None else _closed_form_point
-    return _report(closed, best_point, best_value, tol)
+    return _report(rollout(m).p, best_point, best_value, tol)
 
 
 def _simplex_draw(rng: SplitMix64, m: int) -> np.ndarray:
@@ -341,9 +346,7 @@ def _best_run(values: np.ndarray) -> int | None:
     return best
 
 
-def ascent_optimize(
-    m, config: AscentConfig | None = None, tolerance: float = 1e-6, *, _closed_form_point=None
-) -> OracleReport:
+def ascent_optimize(m, config: AscentConfig | None = None, tolerance: float = 1e-6) -> OracleReport:
     """Maximize expected surprise by multiplicative weights, with restarts.
 
     Runs once from the uniform schedule and once from each of
@@ -353,9 +356,9 @@ def ascent_optimize(
     shows up as ``converged=False`` (and normally a failing gap), never as an
     exception.  The starts run as row blocks of at most ``_BLOCK_ENTRIES``
     entries; each start ends on the same bits in any block.
-    ``_closed_form_point`` is as in :func:`grid_search`.
     """
     m = _check_days(m)
+    tolerance = _check_tolerance(tolerance)
     if config is None:
         config = AscentConfig()
 
@@ -369,9 +372,8 @@ def ascent_optimize(
     points, values, converged = (np.concatenate(parts) for parts in zip(*ends))
     best = _best_run(values)
     assert best is not None
-    closed = rollout(m).p if _closed_form_point is None else _closed_form_point
     point = points[best].copy()
-    return _report(closed, point, -values[best], float(tolerance), bool(converged[best]))
+    return _report(rollout(m).p, point, -values[best], tolerance, bool(converged[best]))
 
 
 def finite_diff_gradient(p, h: float = 1e-6) -> np.ndarray:

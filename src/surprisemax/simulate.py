@@ -72,7 +72,7 @@ _GUIDE_STEPS = 8
 _BLOCK = 1 << 16
 
 
-def _day_lookup(cum: np.ndarray, p: np.ndarray):
+def _day_lookup(cum: np.ndarray, p: np.ndarray, keys: float = math.inf):
     """A function from keys u in [0, 1) to their 0-based days.
 
     The day of u is the first index whose cumulative mass exceeds it, i.e.
@@ -80,7 +80,8 @@ def _day_lookup(cum: np.ndarray, p: np.ndarray):
     empty interval, so it can never come out.  If accumulated rounding leaves
     u at or above the final cumulative mass, it falls back to the last day
     that carries probability; with a final mass of 1 or more no key reaches
-    it, and the pass is skipped.  The tables are built once, here.
+    it, and the pass is skipped.  The tables are built once, here, with no
+    more buckets than days or than the ``keys`` keys they will serve.
     """
     m = cum.size
     last = int(np.flatnonzero(p > 0.0)[-1])
@@ -92,7 +93,7 @@ def _day_lookup(cum: np.ndarray, p: np.ndarray):
     # step moves it past one of them.  Keys in buckets wider than
     # _GUIDE_STEPS that are still short after the steps finish by binary
     # search.
-    buckets = 1 << (m - 1).bit_length()
+    buckets = 1 << (min(m, keys) - 1).bit_length()
     guide = np.searchsorted(cum, np.arange(buckets + 1) / buckets, side="right")
     padded = np.append(cum, np.inf)
     widest = int(np.diff(guide).max())
@@ -119,7 +120,7 @@ def sample_day(p, rng: SplitMix64) -> int:
     v = as_probability_vector(p)
     cum = np.cumsum(v)
     u = np.array([rng.next_double()])
-    return int(_day_lookup(cum, v)(u)[0]) + 1
+    return int(_day_lookup(cum, v, 1)(u)[0]) + 1
 
 
 def estimate_expected_surprise(p, config: SimulationConfig) -> SimulationResult:
@@ -140,7 +141,7 @@ def estimate_expected_surprise(p, config: SimulationConfig) -> SimulationResult:
     # way; math.log, not np.log, keeps each entry bit-equal to it.
     ratios = np.divide(_tails(v), v, out=np.ones_like(v), where=v > 0.0)
     per_day = np.fromiter(map(math.log, ratios.tolist()), float, v.size)
-    days_of = _day_lookup(np.cumsum(v), v)
+    days_of = _day_lookup(np.cumsum(v), v, n)
     rng = SplitMix64(config.seed)
     days = np.empty(n, dtype=np.min_scalar_type(v.size - 1))
 

@@ -346,6 +346,9 @@ class TestVerify:
             # an infinite tolerance would pass every ascent
             ("inf", "--tol must be finite, got inf"),
             ("1e400", "--tol must be finite, got inf"),
+            ("0", "--tol must be positive, got 0.0"),
+            ("-1", "--tol must be positive, got -1.0"),
+            ("nan", "--tol must be positive, got nan"),
         ],
     )
     def test_tol_refused(self, capsys, tol, words):

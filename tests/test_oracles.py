@@ -492,3 +492,43 @@ class TestAscendValidation:
         assert str(excinfo.value) == "gradient needs every entry strictly positive"
         assert checked[0].tobytes() == start.tobytes()
         assert len(checked) == 2 and checked[1].min() == 0.0
+
+
+class TestTolerance:
+    """Both oracles refuse a tolerance that is not positive and finite, before any work."""
+
+    @pytest.mark.parametrize(
+        "tolerance, message",
+        [
+            (0, "tolerance must be positive, got 0.0"),
+            (-1.0, "tolerance must be positive, got -1.0"),
+            (math.nan, "tolerance must be positive, got nan"),
+            # an infinite tolerance would let every search agree
+            (math.inf, "tolerance must be finite, got inf"),
+        ],
+    )
+    def test_refused_before_any_work(self, monkeypatch, tolerance, message):
+        work = []
+        monkeypatch.setattr(oracles_mod, "_compositions", lambda *args: work.append(args))
+        monkeypatch.setattr(oracles_mod, "_ascend", lambda *args: work.append(args))
+        for search in (
+            lambda: grid_search(2, GridSpec(10), tolerance),
+            lambda: ascent_optimize(5, AscentConfig(max_iterations=1), tolerance),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                search()
+            assert str(excinfo.value) == message
+        assert work == []
+
+    def test_grid_default_is_two_lattice_steps(self):
+        assert grid_search(2, GridSpec(8)).tolerance == 0.25
+        assert grid_search(2, GridSpec(8), 1e-3).tolerance == 1e-3
+
+
+class TestSimplexDraw:
+    def test_all_zero_draw_falls_back_to_uniform(self):
+        class Zeros:
+            def doubles(self, n):
+                return np.zeros(n)
+
+        assert oracles_mod._simplex_draw(Zeros(), 4).tolist() == [0.25] * 4

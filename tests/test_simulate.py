@@ -179,9 +179,13 @@ LOOKUP_SCHEDULES = {
 }
 
 
-def lookup_keys(cum):
-    """Bucket edges, every cumulative mass and its neighbours, both ends, random draws."""
-    buckets = 1 << (cum.size - 1).bit_length()
+def lookup_keys(cum, count=math.inf):
+    """Bucket edges, every cumulative mass and its neighbours, both ends, random draws.
+
+    The bucket edges are those of the table ``_day_lookup`` builds for
+    ``count`` keys.
+    """
+    buckets = 1 << (min(cum.size, count) - 1).bit_length()
     keys = np.concatenate(
         [
             np.arange(buckets) / buckets,
@@ -198,12 +202,21 @@ def lookup_keys(cum):
 class TestDayLookup:
     """The sampler's day lookup is the binary search, bit for bit."""
 
-    @pytest.mark.parametrize("name", sorted(LOOKUP_SCHEDULES))
-    def test_matches_searchsorted(self, name):
+    # the full table, named by its schedule, and the smaller tables built
+    # for a few keys
+    @pytest.mark.parametrize(
+        "name, keys",
+        [
+            pytest.param(name, keys, id=name if keys == math.inf else f"{name}-{keys}-keys")
+            for name in sorted(LOOKUP_SCHEDULES)
+            for keys in (math.inf, 1, 3, 100)
+        ],
+    )
+    def test_matches_searchsorted(self, name, keys):
         p = LOOKUP_SCHEDULES[name]()
         cum = np.cumsum(p)
-        u = lookup_keys(cum)
-        got = _day_lookup(cum, p)(u)
+        u = lookup_keys(cum, keys)
+        got = _day_lookup(cum, p, keys)(u)
         assert np.array_equal(got, searchsorted_days(cum, u, p))
 
     def test_short_mass_falls_back_to_last_day_with_mass(self):
