@@ -93,7 +93,7 @@ def _tails(p: np.ndarray, columns: bool = False) -> np.ndarray:
         for j in range(len(p) - 2, -1, -1):
             np.add(t[j + 1], p[j], out=t[j])
     else:
-        p[..., ::-1].cumsum(axis=-1, out=t[..., ::-1])
+        np.add.accumulate(p[..., ::-1], axis=-1, out=t[..., ::-1])
     return t
 
 
@@ -163,18 +163,30 @@ def _scored(p: np.ndarray, columns: bool = False):
     log_t = np.log(t)
     terms = log_p - log_t
     terms *= p
-    # looked for entry by entry: a sum along short rows costs several times
-    # more, and the lattice blocks of the grid scan all hold zeros
-    rough = np.isnan(terms)
-    if rough.any():
-        np.copyto(terms, 0.0, where=rough)
-    else:
-        rough = None
     if columns:
+        # looked for entry by entry: the lattice blocks of the grid scan all
+        # hold zeros
+        rough = _zeroed_nan(terms)
         sm2 = 0.0 + _tree_sum(len(terms), lambda lo, hi: _pairwise(terms[lo:hi]), _PAIRWISE_RUN)
     else:
-        sm2 = terms.sum(axis=-1)
+        # every term is at most 0 or NaN, never +inf, so a row's sum is NaN
+        # exactly when one of its terms is: the rows are added again without
+        # their NaN terms only then
+        sm2 = np.add.reduce(terms, axis=-1)
+        rough = None
+        if np.isnan(sm2).any():
+            rough = _zeroed_nan(terms)
+            sm2 = np.add.reduce(terms, axis=-1)
     return sm2, rough, t, log_p, log_t
+
+
+def _zeroed_nan(terms: np.ndarray):
+    """Set the NaN ``terms`` to 0 in place; their mask, or ``None`` when there are none."""
+    rough = np.isnan(terms)
+    if not rough.any():
+        return None
+    np.copyto(terms, 0.0, where=rough)
+    return rough
 
 
 def _sm2(p: np.ndarray):
@@ -233,7 +245,7 @@ def _gradient(p: np.ndarray, t: np.ndarray, log_p: np.ndarray, log_t: np.ndarray
     """``log p + 1 - log T - cumsum(p / T)`` along the last axis, from the tails and logs."""
     g = log_p + 1.0
     g -= log_t
-    g -= np.cumsum(p / t, axis=-1)
+    g -= np.add.accumulate(p / t, axis=-1)
     return g
 
 

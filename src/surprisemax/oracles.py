@@ -24,6 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from .objective import (
+    SIMPLEX_SUM_TOL,
     _check_integer,
     _gradient,
     _scored,
@@ -157,46 +158,50 @@ def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
         yield np.array([[float(total)]])
         return
 
-    def block(heads: list, counts: list) -> np.ndarray:
+    def block(heads: np.ndarray, counts: list) -> np.ndarray:
         # a head is (prefix..., offset, left): k_{parts-1} = column - offset
-        columns = np.repeat(np.array(heads, dtype=np.float64).T, counts, axis=1)
+        columns = np.repeat(heads[: len(counts)].T, counts, axis=1)
         np.subtract(np.arange(columns.shape[1], dtype=np.float64), columns[-2], out=columns[-2])
         columns[-1] -= columns[-2]
         return columns
 
     width = max(1, _BLOCK_ENTRIES // parts)
-    heads: list = []
+    heads = np.empty((width, parts))
     counts: list = []
     used = 0
-    # the prefixes, as an odometer in lexicographic order: ``left`` is what
-    # the prefix leaves of ``total``, ``last`` the place of its last nonzero
-    prefix = [0] * (parts - 2)
+    # the prefixes, as an odometer in lexicographic order, kept in place in
+    # the first parts - 2 entries of ``head``: ``left`` is what the prefix
+    # leaves of ``total``, ``last`` the place of its last nonzero
+    head = np.zeros(parts)
+    places = parts - 2
     left, last = total, -1
     while True:
+        head[-1] = left
         start = 0
         while start <= left:
             count = min(left + 1 - start, width - used)
-            heads.append((*prefix, used - start, left))
+            head[-2] = used - start
+            heads[len(counts)] = head
             counts.append(count)
             start += count
             used += count
             if used == width:
                 yield block(heads, counts)
-                heads, counts, used = [], [], 0
-        if left and prefix:
+                counts, used = [], 0
+        if left and places:
             # one more on the last place
-            prefix[-1] += 1
+            head[places - 1] += 1.0
             left -= 1
-            last = len(prefix) - 1
+            last = places - 1
         elif last > 0:
             # carry: the last nonzero place goes to 0, the one before it up by 1
-            left = prefix[last] - 1
-            prefix[last] = 0
+            left = int(head[last]) - 1
+            head[last] = 0.0
             last -= 1
-            prefix[last] += 1
+            head[last] += 1.0
         else:
             break
-    if heads:
+    if counts:
         yield block(heads, counts)
 
 
@@ -250,6 +255,18 @@ def _simplex_draw(rng: SplitMix64, m: int) -> np.ndarray:
     return draws / total
 
 
+def _interior(starts: np.ndarray) -> bool:
+    """Whether every row is finite, strictly positive and sums to 1 within ``SIMPLEX_SUM_TOL``.
+
+    What ``gradient_sm2`` asks of each row, asked of the block at once.
+    """
+    return bool(
+        np.isfinite(starts).all()
+        and (starts > 0.0).all()
+        and (np.abs(np.add.reduce(starts, axis=1) - 1.0) <= SIMPLEX_SUM_TOL).all()
+    )
+
+
 def _gathered(chosen: list, count: int):
     """Index of the rows ``chosen`` out of ``count``.
 
@@ -277,22 +294,31 @@ def _ascend(starts: np.ndarray, config: AscentConfig):
     the settle test, the copy and the next gradient then act on the runs that
     moved only, so a refused step costs just its candidate's score.  A new
     iterate's gradient is ``gradient_sm2``'s formula, ``_gradient``, on the
-    tails and logs that scored it.  ``gradient_sm2`` checks each start,
-    and any iterate about to step from a zero or NaN entry, which it then
-    names.
+    tails and logs that scored it.  The starts are checked once, as a block,
+    against what ``gradient_sm2`` asks of a point; if one fails,
+    ``gradient_sm2`` of each start in turn names the first that does.
+    ``gradient_sm2`` also names any iterate about to step from a zero or NaN
+    entry.
     """
-    p = starts.copy()
-    g = np.array([gradient_sm2(row) for row in starts])
+    if not _interior(starts):
+        for row in starts:
+            gradient_sm2(row)
     count = len(starts)
     runs = list(range(count))
     eta = [config.step_size] * count
     steps = [0] * count
-    points, values, converged = np.empty_like(p), np.empty(count), np.zeros(count, bool)
+    points, values, converged = np.empty_like(starts), np.empty(count), np.zeros(count, bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        score = (-_scored(p)[0]).tolist()
+        p = starts.copy()
+        sm2, _, t, log_p, log_t = _scored(p)
+        g = _gradient(p, t, log_p, log_t)
+        score = (-sm2).tolist()
         while runs:
-            q = p * np.exp(-np.array(eta)[:, None] * g)
-            q /= q.sum(axis=1, keepdims=True)
+            # p * exp(-eta g), built in place; IEEE products commute
+            q = np.multiply(-np.array(eta)[:, None], g)
+            np.exp(q, out=q)
+            q *= p
+            q /= np.add.reduce(q, axis=1, keepdims=True)
             sm2, rough, t, log_q, log_t = _scored(q)
             # a step is taken when it does not lower the score; no score is
             # NaN, since ``_scored`` counts NaN terms as 0
@@ -302,9 +328,12 @@ def _ascend(starts: np.ndarray, config: AscentConfig):
             if moved:
                 rows = _gathered(moved, len(runs))
                 taken = q[rows]
-                gaps = np.abs(taken - p[rows]).max(axis=1)
+                gaps = np.maximum.reduce(np.abs(taken - p[rows]), axis=1)
                 settled = dict(zip(moved, (gaps < config.convergence_tol).tolist()))
-                p[rows] = taken
+                if len(moved) == len(runs):
+                    p = q
+                else:
+                    p[rows] = taken
             walk, ends = [], {}
             for i in range(len(runs)):
                 if i in settled:
@@ -325,7 +354,11 @@ def _ascend(starts: np.ndarray, config: AscentConfig):
                         if rough[i].any():
                             gradient_sm2(q[i])
                 rows = _gathered(walk, len(runs))
-                g[rows] = _gradient(q[rows], t[rows], log_q[rows], log_t[rows])
+                walked = _gradient(q[rows], t[rows], log_q[rows], log_t[rows])
+                if len(walk) == len(runs):
+                    g = walked
+                else:
+                    g[rows] = walked
             if ends:
                 for i, ok in ends.items():
                     points[runs[i]] = p[i]

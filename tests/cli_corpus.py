@@ -11,8 +11,9 @@ the file and names the entries that moved.
 
 Eval inputs are made here from a seed by Python's ``random`` module, whose
 ``random()`` stream is fixed across versions, so no data file is kept for
-them.  Entries marked ``ci_only`` cross the 2^16 kept days, 0.1-0.5 s each,
-and are replayed by ``--check`` alone; entries marked ``python`` print text formatted by
+them.  Entries marked ``ci_only`` take 0.1-0.5 s each, across the 2^16 kept
+days or in ascents of 909 days and more, and are replayed by ``--check``
+alone; entries marked ``python`` print text formatted by
 ``argparse``, whose layout may change between Python versions, and are
 compared only under the version that wrote them.
 """
@@ -104,6 +105,10 @@ def invocations():
         yield ["simulate", "--days", "5", "--samples", "1000", "--seed", "3", "--format", fmt], None, {}
     yield ["verify", "--days", "1..4"], None, {}
     yield ["verify", "--days", "2..3", "--grid", "40"], None, {}
+    # the ascent runs its nine starts as one block up to m = 910 and in row
+    # blocks from m = 911 on; m = 2000..2003 is where verify-sweep spans end
+    yield ["verify", "--days", "909..912"], None, {"ci_only": True}
+    yield ["verify", "--days", "2000..2003", "--seed", "7"], None, {"ci_only": True}
 
     # exit 2: a tolerance no ascent meets
     yield ["verify", "--days", "3", "--tol", "1e-300"], None, {}

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from surprisemax import (
@@ -22,6 +24,7 @@ from surprisemax import (
     rollout,
     tail_masses,
 )
+from surprisemax import objective as objective_mod
 
 EXP_NEG1 = math.exp(-1.0)
 
@@ -203,6 +206,53 @@ class TestScores:
     def test_batch_rejects_one_dimensional(self):
         with pytest.raises(ValueError, match="two-dimensional"):
             eval_sm2_batch(np.array([0.5, 0.5]))
+
+
+def entrywise_sm2(rows):
+    """Each row's reduced score, its NaN terms found entry by entry and counted as 0."""
+    t = np.empty_like(rows)
+    # the package's tails layout, so np.log takes the same path
+    np.cumsum(rows[:, ::-1], axis=1, out=t[:, ::-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = rows * (np.log(rows) - np.log(t))
+    rough = np.isnan(terms)
+    return np.where(rough, 0.0, terms).sum(axis=1), rough
+
+
+@st.composite
+def rows_with_zeros(draw):
+    """Up to 9 schedules of up to 40 days, many holding zeros, one maybe holding +inf."""
+    m = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 9))
+    entry = st.one_of(st.just(0.0), st.floats(1e-300, 1.0))
+    rows = np.array(draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n)))
+    totals = rows.sum(axis=1, keepdims=True)
+    np.divide(rows, totals, out=rows, where=totals > 0.0)
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))] = math.inf
+    return rows
+
+
+class TestRowSumsFirst:
+    """Rows are summed first and summed again without their NaN terms only
+    when the sum is NaN; the bits are those of an entry-by-entry check."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows_with_zeros())
+    def test_same_bits_as_entrywise(self, rows):
+        expected, rough = entrywise_sm2(rows)
+        assert eval_sm2_batch(rows).tobytes() == expected.tobytes()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sm2, flagged = objective_mod._scored(rows.copy())[:2]
+            assert sm2.tobytes() == expected.tobytes()
+            if rough.any():
+                assert np.array_equal(flagged, rough)
+            else:
+                assert flagged is None
+            for row, value, row_rough in zip(rows, expected, rough):
+                one, one_flagged = objective_mod._scored(row.copy())[:2]
+                assert np.float64(one).tobytes() == value.tobytes()
+                assert (one_flagged is None) is (not row_rough.any())
 
 
 class TestGradient:

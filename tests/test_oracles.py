@@ -490,8 +490,72 @@ class TestAscendValidation:
             with pytest.raises(ValueError) as excinfo:
                 oracles_mod._ascend(start[None, :], AscentConfig(step_size=20.0))
         assert str(excinfo.value) == "gradient needs every entry strictly positive"
-        assert checked[0].tobytes() == start.tobytes()
-        assert len(checked) == 2 and checked[1].min() == 0.0
+        # the start passes the block check, so only the iterate is checked
+        assert len(checked) == 1 and checked[0].min() == 0.0
+
+
+def _bad_row(kind, row, i):
+    """``row`` broken one way: a zero, a NaN, an inf, or a sum ``(i + 1) 1e-6`` off."""
+    row = row.copy()
+    if kind == "zero":
+        row[1] = 0.0
+        row /= row.sum()
+    elif kind == "nan":
+        row[2] = math.nan
+    elif kind == "inf":
+        row[0] = math.inf
+    else:
+        row *= 1.0 + 1e-6 * (i + 1)
+    return row
+
+
+class TestBlockStartCheck:
+    """The starts are checked as one block; a bad one is named as ``gradient_sm2`` names it."""
+
+    KINDS = ["zero", "nan", "inf", "sum"]
+
+    @staticmethod
+    def expected_message(row):
+        with pytest.raises(ValueError) as excinfo:
+            gradient_sm2(row)
+        return str(excinfo.value)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("position", [0, 4, 8])
+    def test_one_bad_row(self, kind, position):
+        starts = np.array(replay_starts(5, 3))
+        starts[position] = _bad_row(kind, starts[position], position)
+        with pytest.raises(ValueError) as excinfo:
+            oracles_mod._ascend(starts, AscentConfig())
+        assert str(excinfo.value) == self.expected_message(starts[position])
+
+    @pytest.mark.parametrize("first, second", itertools.permutations(KINDS, 2))
+    @pytest.mark.parametrize("positions", [(0, 8), (4, 5)])
+    def test_two_bad_rows_name_the_first(self, first, second, positions):
+        starts = np.array(replay_starts(5, 3))
+        for kind, i in zip((first, second), positions):
+            starts[i] = _bad_row(kind, starts[i], i)
+        with pytest.raises(ValueError) as excinfo:
+            oracles_mod._ascend(starts, AscentConfig())
+        assert str(excinfo.value) == self.expected_message(starts[positions[0]])
+
+    def test_sums_at_the_tolerance_edge(self):
+        # rows whose sums step ulp by ulp across 1 - 1e-9 and 1 + 1e-9: the
+        # block accepts exactly the rows gradient_sm2 accepts
+        outcomes = set()
+        for edge in (0.5 - 1e-9, 0.5 + 1e-9):
+            second = edge - 8 * np.spacing(edge)
+            for _ in range(16):
+                row = np.array([0.5, second])
+                try:
+                    gradient_sm2(row)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert oracles_mod._interior(row[None, :]) is accepted, row.tolist()
+                outcomes.add(accepted)
+                second = np.nextafter(second, 1.0)
+        assert outcomes == {True, False}
 
 
 class TestTolerance:
