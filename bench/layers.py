@@ -1,21 +1,21 @@
 """Layer benchmark of surprisemax: each layer timed in process at fixed sizes.
 
-    PYTHONPATH=src python bench/layers.py [--out FILE] [--repeat K]
+    PYTHONPATH=src python bench/layers.py > layers.json
 
-Times every layer at two or more fixed sizes, as the min of ``K`` runs of
-``time.perf_counter``, and fits its exponent in the size (days ``m``,
-points or samples) by least squares on ``log(time)`` against
-``log(size)``.  Also records the tracemalloc peaks of ``rollout`` and of
-the Monte Carlo, and the machine the figures were taken on.  Writes one
-JSON object to ``--out`` (stdout by default).  It imports the package found
-on ``PYTHONPATH``, so pointing that at another checkout's ``src`` times that
-checkout, and runs the CLI end to end from the same ``src``.  It shares no
-code with ``perfbench/``.  A whole run takes well under a minute.
+Times every layer at two or more fixed sizes, as the min of ``_REPEAT``
+runs of ``time.perf_counter`` (``_PROCESS_REPEAT`` for the CLI run as a
+subprocess), and fits its exponent in the size (days ``m``, points or
+samples) by least squares on ``log(time)`` against ``log(size)``.  Also
+records the tracemalloc peaks of ``rollout`` and of the Monte Carlo, and
+the machine the figures were taken on.  Writes one JSON object to stdout
+and takes no arguments.  It imports the package found on ``PYTHONPATH``, so
+pointing that at another checkout's ``src`` times that checkout, and runs
+the CLI end to end from the same ``src``.  It shares no code with
+``perfbench/``.  A whole run takes well under a minute.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
@@ -43,7 +43,10 @@ from surprisemax import (
 from surprisemax import _floattext, cli, objective
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(surprisemax.__file__)))
-# a run of at least this long is timed as one of the K, however many calls it takes
+# runs timed per size, the min kept; fewer for a fresh interpreter per call
+_REPEAT = 7
+_PROCESS_REPEAT = 3
+# a run of at least this long is timed as one run, however many calls it takes
 _MIN_RUN_S = 0.01
 
 
@@ -76,7 +79,7 @@ def _exponent(sizes, seconds) -> float:
     return float(x @ (y - y.mean()) / (x @ x))
 
 
-def _layer(unit: str, cases, repeat: int) -> dict:
+def _layer(unit: str, cases, repeat: int = _REPEAT) -> dict:
     """Time ``call`` at each ``(size, call)`` of ``cases``; ``unit`` names the size."""
     sizes, seconds = [], []
     for size, call in cases:
@@ -144,7 +147,7 @@ def _machine() -> dict:
     }
 
 
-def measure(repeat: int) -> dict:
+def measure() -> dict:
     block = {m: np.array([_schedule(m, seed) for seed in range(9)]) for m in (10, 100, 1000)}
     vectors = {m: _schedule(m) for m in (1_000, 10_000, 100_000)}
     texts = {n: np.random.default_rng(1).random(n) for n in (4096, 65536)}
@@ -155,29 +158,27 @@ def measure(repeat: int) -> dict:
             objective._scored(p)
 
     layers = {
-        "rollout": _layer("m", [(m, lambda m=m: rollout(m)) for m in (1_000, 10_000, 60_000)], repeat),
-        "eval_sm2": _layer("m", [(m, lambda p=p: eval_sm2(p)) for m, p in vectors.items()], repeat),
-        "gradient_sm2": _layer("m", [(m, lambda p=p: gradient_sm2(p)) for m, p in vectors.items()], repeat),
-        "_scored_9_rows": _layer("m", [(m, lambda p=p: scored(p)) for m, p in block.items()], repeat),
+        "rollout": _layer("m", [(m, lambda m=m: rollout(m)) for m in (1_000, 10_000, 60_000)]),
+        "eval_sm2": _layer("m", [(m, lambda p=p: eval_sm2(p)) for m, p in vectors.items()]),
+        "gradient_sm2": _layer("m", [(m, lambda p=p: gradient_sm2(p)) for m, p in vectors.items()]),
+        "_scored_9_rows": _layer("m", [(m, lambda p=p: scored(p)) for m, p in block.items()]),
         "ascent_optimize": _layer(
-            "m", [(m, lambda m=m: ascent_optimize(m, AscentConfig())) for m in (90, 2000)], repeat
+            "m", [(m, lambda m=m: ascent_optimize(m, AscentConfig())) for m in (90, 2000)]
         ),
         # sized by the points scanned: 10,001 at m = 2 and 501,501 at m = 3
         "grid_search": _layer(
             "points",
             [(10_001, lambda: grid_search(2, GridSpec(10_000))), (501_501, lambda: grid_search(3, GridSpec(1_000)))],
-            repeat,
         ),
         "estimate_expected_surprise": _layer(
             "samples",
             [(n, lambda n=n: estimate_expected_surprise(mc, SimulationConfig(n, 1))) for n in (100_000, 1_000_000)],
-            repeat,
         ),
-        "_floattext.entries": _layer("rows", [(n, lambda v=v: _floattext.entries(v)) for n, v in texts.items()], repeat),
+        "_floattext.entries": _layer("rows", [(n, lambda v=v: _floattext.entries(v)) for n, v in texts.items()]),
         # one span of four horizons from m, in this process
-        "verify_loop": _layer("m", [(m, _verify(m, m + 3)) for m in (100, 1000)], repeat),
+        "verify_loop": _layer("m", [(m, _verify(m, m + 3)) for m in (100, 1000)]),
         # python -m surprisemax solve --days m, a fresh process each time
-        "cli_solve_process": _layer("m", [(m, _solve_process(m)) for m in (1_000, 100_000)], min(repeat, 3)),
+        "cli_solve_process": _layer("m", [(m, _solve_process(m)) for m in (1_000, 100_000)], _PROCESS_REPEAT),
     }
     memory = {
         "rollout_peak_bytes": {str(m): _peak_bytes(lambda m=m: rollout(m)) for m in (10_000, 60_000)},
@@ -186,25 +187,22 @@ def measure(repeat: int) -> dict:
             for n in (100_000, 1_000_000)
         },
     }
-    return {"machine": _machine(), "repeat": repeat, "layers": layers, "memory": memory}
+    return {
+        "machine": _machine(),
+        "repeat": _REPEAT,
+        "process_repeat": _PROCESS_REPEAT,
+        "layers": layers,
+        "memory": memory,
+    }
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", help="write the JSON here instead of to stdout")
-    parser.add_argument("--repeat", type=int, default=7, help="runs per size; the min is kept")
-    args = parser.parse_args()
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
+    if sys.argv[1:]:
+        sys.exit(__doc__)
     start = time.perf_counter()
-    result = measure(args.repeat)
+    result = measure()
     result["total_s"] = time.perf_counter() - start
-    text = json.dumps(result, indent=1) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(json.dumps(result, indent=1) + "\n")
     return 0
 
 

@@ -68,10 +68,26 @@ def as_probability_vector(values) -> np.ndarray:
         raise ValueError("entries must be finite")
     if not np.all(p >= 0.0):
         raise ValueError("entries must be nonnegative")
-    total = float(np.sum(p))
-    if abs(total - 1.0) > SIMPLEX_SUM_TOL:
-        raise ValueError(f"sum {total!r} exceeds tolerance {SIMPLEX_SUM_TOL:g}")
+    total = np.add.reduce(p, axis=-1)
+    if not _sums_to_one(total):
+        raise ValueError(f"sum {float(total)!r} exceeds tolerance {SIMPLEX_SUM_TOL:g}")
     return p
+
+
+def _sums_to_one(total):
+    """Whether a schedule's total, or each of an array of totals, is within ``SIMPLEX_SUM_TOL`` of 1."""
+    return np.abs(total - 1.0) <= SIMPLEX_SUM_TOL
+
+
+def _interior(p: np.ndarray) -> bool:
+    """Whether every row of ``p`` is a point ``gradient_sm2`` takes.
+
+    Finite, strictly positive, and each row's total, taken as
+    ``as_probability_vector`` takes it, within ``SIMPLEX_SUM_TOL`` of 1.  A
+    block of rows is asked in one pass; ``gradient_sm2`` of a row that fails
+    says why.
+    """
+    return bool(np.isfinite(p).all() and (p > 0.0).all() and _sums_to_one(np.add.reduce(p, axis=-1)).all())
 
 
 def _check_integer(value, message: str) -> int:
@@ -234,8 +250,10 @@ def gradient_sm2(p) -> np.ndarray:
     ``g_j = log p_j + 1 - log T_j - sum_{k<=j} p_k / T_k``.  Defined only on
     the simplex interior; any zero entry raises.
     """
-    v = as_probability_vector(p)
-    if not np.all(v > 0.0):
+    v = np.asarray(p, dtype=np.float64)
+    if v.ndim != 1 or not _interior(v):
+        as_probability_vector(v)
+        # a schedule that passes there and fails ``_interior`` has a zero entry
         raise ValueError("gradient needs every entry strictly positive")
     t = _tails(v)
     return _gradient(v, t, np.log(v), np.log(t))

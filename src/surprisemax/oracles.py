@@ -24,9 +24,9 @@ from typing import Iterator
 import numpy as np
 
 from .objective import (
-    SIMPLEX_SUM_TOL,
     _check_integer,
     _gradient,
+    _interior,
     _scored,
     _sm2,
     as_probability_vector,
@@ -171,10 +171,12 @@ def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
     used = 0
     # the prefixes, as an odometer in lexicographic order, kept in place in
     # the first parts - 2 entries of ``head``: ``left`` is what the prefix
-    # leaves of ``total``, ``last`` the place of its last nonzero
+    # leaves of ``total``, ``last`` the place of its last nonzero, and
+    # ``run`` what ``left`` was when the last place was 0
     head = np.zeros(parts)
     places = parts - 2
     left, last = total, -1
+    run = left
     while True:
         head[-1] = left
         start = 0
@@ -190,8 +192,8 @@ def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
                 counts, used = [], 0
         if left and places:
             # one more on the last place
-            head[places - 1] += 1.0
             left -= 1
+            head[places - 1] = run - left
             last = places - 1
         elif last > 0:
             # carry: the last nonzero place goes to 0, the one before it up by 1
@@ -199,6 +201,8 @@ def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
             head[last] = 0.0
             last -= 1
             head[last] += 1.0
+            # every place after ``last`` is 0 now, the last place among them
+            run = left
         else:
             break
     if counts:
@@ -253,18 +257,6 @@ def _simplex_draw(rng: SplitMix64, m: int) -> np.ndarray:
     if total <= 0.0:
         return np.full(m, 1.0 / m)
     return draws / total
-
-
-def _interior(starts: np.ndarray) -> bool:
-    """Whether every row is finite, strictly positive and sums to 1 within ``SIMPLEX_SUM_TOL``.
-
-    What ``gradient_sm2`` asks of each row, asked of the block at once.
-    """
-    return bool(
-        np.isfinite(starts).all()
-        and (starts > 0.0).all()
-        and (np.abs(np.add.reduce(starts, axis=1) - 1.0) <= SIMPLEX_SUM_TOL).all()
-    )
 
 
 def _gathered(chosen: list, count: int):

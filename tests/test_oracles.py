@@ -539,22 +539,28 @@ class TestBlockStartCheck:
             oracles_mod._ascend(starts, AscentConfig())
         assert str(excinfo.value) == self.expected_message(starts[positions[0]])
 
-    def test_sums_at_the_tolerance_edge(self):
-        # rows whose sums step ulp by ulp across 1 - 1e-9 and 1 + 1e-9: the
-        # block accepts exactly the rows gradient_sm2 accepts
+    @pytest.mark.parametrize("m", [2, 9, 130, 1000])
+    def test_sums_at_the_tolerance_edge(self, m):
+        # a start whose total steps across 1 - 1e-9 and 1 + 1e-9 in steps of
+        # about an ulp of 1, in a block of nine: the block is accepted exactly
+        # when gradient_sm2 accepts the row, however NumPy orders the sum
+        # (one by one below 8 entries, pairwise with 8 accumulators above),
+        # and a refused row is refused for its sum, as as_probability_vector
+        # refuses it
+        starts = np.array(replay_starts(m, 3))
         outcomes = set()
-        for edge in (0.5 - 1e-9, 0.5 + 1e-9):
-            second = edge - 8 * np.spacing(edge)
-            for _ in range(16):
-                row = np.array([0.5, second])
+        for edge in (1.0 - 1e-9, 1.0 + 1e-9):
+            last = starts[4, -1] + (edge - starts[4].sum())
+            for step in range(-24, 25):
+                starts[4, -1] = last + step * 2.0**-53
                 try:
-                    gradient_sm2(row)
+                    gradient_sm2(starts[4])
                     accepted = True
-                except ValueError:
+                except ValueError as error:
+                    assert str(error).startswith("sum "), (edge, step, str(error))
                     accepted = False
-                assert oracles_mod._interior(row[None, :]) is accepted, row.tolist()
+                assert objective_mod._interior(starts) is accepted, (edge, step)
                 outcomes.add(accepted)
-                second = np.nextafter(second, 1.0)
         assert outcomes == {True, False}
 
 
