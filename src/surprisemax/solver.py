@@ -52,7 +52,6 @@ from .objective import ObjectiveValue, _check_integer, objective_values
 
 __all__ = [
     "GammaSequence",
-    "PolicyRow",
     "PolicyTable",
     "SolveResult",
     "gamma_sequence",
@@ -279,17 +278,6 @@ def _telescope_residuals(gamma: GammaSequence, k: int = 1) -> np.ndarray:
     return sums - (gamma.values[k - 1 : m] - 1.0)
 
 
-@dataclass(frozen=True)
-class PolicyRow:
-    """One day of a rolled-out schedule."""
-
-    day: int
-    gamma: float
-    hazard: float
-    remaining_before: float
-    allocation: float
-
-
 @dataclass(frozen=True, eq=False)
 class PolicyTable:
     """Full schedule in day order, one read-only float64 array per column.
@@ -310,12 +298,6 @@ class PolicyTable:
     @property
     def m(self) -> int:
         return self.allocations.size
-
-    @property
-    def rows(self) -> tuple[PolicyRow, ...]:
-        """One ``PolicyRow`` per day, built on each access."""
-        columns = (self.gamma, self.hazard, self.remaining_before, self.allocations)
-        return tuple(map(PolicyRow, range(1, self.m + 1), *(c.tolist() for c in columns)))
 
     def __repr__(self) -> str:
         return f"PolicyTable(m={self.m})"

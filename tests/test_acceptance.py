@@ -16,7 +16,6 @@ import numpy as np
 from surprisemax import (
     AscentConfig,
     GridSpec,
-    SearchSense,
     ascent_optimize,
     bellman_rhs,
     estimate_expected_surprise,
@@ -78,8 +77,8 @@ def test_01_terminal_boundary():
 
 def test_02_grid_oracle_agreement():
     start = time.perf_counter()
-    fine = grid_search(2, GridSpec(10_000, SearchSense.MINIMIZE_SM2))
-    coarse = grid_search(3, GridSpec(1_000, SearchSense.MINIMIZE_SM2))
+    fine = grid_search(2, GridSpec(10_000))
+    coarse = grid_search(3, GridSpec(1_000))
     elapsed = time.perf_counter() - start
     gap2 = float(np.max(np.abs(fine.best_point - rollout(2).p)))
     gap3 = float(np.max(np.abs(coarse.best_point - rollout(3).p)))

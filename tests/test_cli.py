@@ -66,14 +66,16 @@ class TestSolve:
         lines = csv_out.strip().split("\n")
         assert lines[0] == "j,gamma,hazard,p,remaining_before"
         res = rollout(5)
-        for line, row in zip(lines[1:], res.policy.rows):
+        policy = res.policy
+        assert len(lines) == 1 + policy.m
+        for day, line in enumerate(lines[1:], start=1):
             j, gamma, hazard, p, remaining = line.split(",")
-            assert int(j) == row.day
-            assert float(gamma) == row.gamma
-            assert float(hazard) == row.hazard
-            assert float(p) == row.allocation
-            assert float(remaining) == row.remaining_before
-        assert data["p"] == [row.allocation for row in res.policy.rows]
+            assert int(j) == day
+            assert float(gamma) == policy.gamma[day - 1]
+            assert float(hazard) == policy.hazard[day - 1]
+            assert float(p) == policy.allocations[day - 1]
+            assert float(remaining) == policy.remaining_before[day - 1]
+        assert data["p"] == policy.allocations.tolist()
         assert data["value_at_root"] == res.value_at_root
 
     def test_zero_days_is_usage_error(self, capsys):

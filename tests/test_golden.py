@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from surprisemax import (
-    PolicyRow,
     SimulationConfig,
     estimate_expected_surprise,
     objective_values,
@@ -588,7 +587,7 @@ class TestVerifyLines:
 
 
 class TestPolicyTableArrays:
-    @pytest.mark.parametrize("m", [1, 2, 3, 50, 1000, 4097, 200_000])
+    @pytest.mark.parametrize("m", [1, 2, 3, 40, 50, 1000, 4097, 200_000])
     def test_bit_equal_to_scalar_replay(self, m):
         g, rows = replay(m)
         policy = rollout(m).policy
@@ -598,10 +597,6 @@ class TestPolicyTableArrays:
         assert policy.remaining_before.tolist() == list(columns[3])
         assert policy.allocations.tolist() == list(columns[4])
         assert rollout(m).gamma.values.tolist() == g
-
-    def test_rows_match_scalar_replay(self):
-        _, rows = replay(40)
-        assert rollout(40).policy.rows == tuple(PolicyRow(*row) for row in rows)
 
     def test_arrays_are_read_only(self):
         res = rollout(5)

@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose
 from surprisemax import (
     AscentConfig,
     GridSpec,
-    SearchSense,
     SplitMix64,
     ascent_optimize,
     eval_sm2_batch,
@@ -97,10 +96,9 @@ class TestBoundedLattice:
                 )
             assert np.concatenate(blocks, axis=1).T.tolist() == expected
 
-    @pytest.mark.parametrize("sense", list(SearchSense))
-    def test_block_size_does_not_change_the_result(self, monkeypatch, sense):
+    def test_block_size_does_not_change_the_result(self, monkeypatch):
         for m, resolution in ((3, 60), (9, 6)):
-            spec = GridSpec(resolution, sense)
+            spec = GridSpec(resolution)
             default = grid_search(m, spec)
             for entries in (7, 100):
                 with monkeypatch.context() as patch:
@@ -186,11 +184,15 @@ class TestGridSearch:
         assert report.best_value == 0.0
         assert report.linf_gap == 0.0
 
-    def test_maximize_picks_lexicographically_first_vertex(self):
-        # every vertex scores exactly zero; the tie must break toward the
-        # lexicographically smallest lattice point
-        report = grid_search(2, GridSpec(100, SearchSense.MAXIMIZE_SM2))
-        assert report.best_point.tolist() == [0.0, 1.0]
+    def test_ties_keep_the_lexicographically_first_point(self, monkeypatch):
+        # every point scores the same, in blocks of two points, so the tie
+        # spans every block and must break toward the first lattice point
+        monkeypatch.setattr(
+            oracles_mod, "_scored", lambda block, columns: (np.zeros(block.shape[1]),)
+        )
+        monkeypatch.setattr(oracles_mod, "_BLOCK_ENTRIES", 7)
+        report = grid_search(3, GridSpec(20))
+        assert report.best_point.tolist() == [0.0, 0.0, 1.0]
         assert report.best_value == 0.0
 
     def test_minimize_small_grid_interior(self):
@@ -217,8 +219,6 @@ class TestGridSearch:
             GridSpec(1)
         with pytest.raises(ValueError, match="integer"):
             GridSpec(2.5)
-        with pytest.raises(ValueError, match="SearchSense"):
-            GridSpec(10, "minimize-sm2")
 
 
 class TestAscent:
@@ -260,12 +260,19 @@ class TestAscent:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_iterations"):
             AscentConfig(max_iterations=0)
-        with pytest.raises(ValueError, match="step_size"):
+        with pytest.raises(ValueError, match="step_size must be positive"):
             AscentConfig(step_size=0.0)
+        with pytest.raises(ValueError, match="step_size must be finite"):
+            AscentConfig(step_size=math.inf)
         with pytest.raises(ValueError, match="restarts"):
             AscentConfig(restarts=-1)
-        with pytest.raises(ValueError, match="convergence_tol"):
+        with pytest.raises(ValueError, match="convergence_tol must be positive"):
             AscentConfig(convergence_tol=0.0)
+        with pytest.raises(ValueError, match="convergence_tol must be finite"):
+            AscentConfig(convergence_tol=math.inf)
+        # the checked values are the ones the config keeps
+        kept = AscentConfig(step_size=1, convergence_tol=np.float64(1e-9))
+        assert type(kept.step_size) is float and type(kept.convergence_tol) is float
         with pytest.raises(ValueError, match="seed"):
             AscentConfig(seed=-1)
         with pytest.raises(ValueError, match="seed 2.7 is not an unsigned 64-bit integer"):
@@ -282,6 +289,14 @@ class TestAscent:
             AscentConfig(restarts=True)
         config = AscentConfig(max_iterations=np.int64(3), restarts=np.int64(1))
         assert ascent_optimize(2, config).best_point.size == 2
+
+    def test_huge_step_size_agrees_without_warnings(self):
+        # exp(-eta g) overflows at this step size until the line search has
+        # halved it far enough
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = ascent_optimize(5, AscentConfig(step_size=1e300, restarts=0))
+        assert report.agrees
 
 
 class TestFiniteDiff:

@@ -330,7 +330,7 @@ class TestRollout:
         res = rollout(1)
         assert list(res.p) == [1.0]
         assert res.value_at_root == 0.0
-        assert res.policy.rows[0].hazard == 1.0
+        assert res.policy.hazard.tolist() == [1.0]
 
     def test_two_days_frozen(self):
         assert_allclose(rollout(2).p, ROLLOUT2, rtol=1e-15)
@@ -346,12 +346,12 @@ class TestRollout:
         p = res.p
         assert np.all(p > 0.0)
         assert abs(float(np.sum(p)) - 1.0) <= 1e-12
-        rows = res.policy.rows
-        assert rows[-1].hazard == 1.0
-        for row, nxt in zip(rows, rows[1:]):
-            assert row.allocation == row.remaining_before * row.hazard
-            assert nxt.remaining_before == row.remaining_before - row.allocation
-        assert rows[-1].remaining_before - rows[-1].allocation == 0.0
+        policy = res.policy
+        hazard, remaining, allocations = policy.hazard, policy.remaining_before, policy.allocations
+        assert hazard[-1] == 1.0
+        assert np.all(allocations == remaining * hazard)
+        assert np.all(remaining[1:] == remaining[:-1] - allocations[:-1])
+        assert remaining[-1] - allocations[-1] == 0.0
 
     @pytest.mark.parametrize("m", [1, 2, 3, 10, 60, 100])
     def test_score_matches_closed_form(self, m):
