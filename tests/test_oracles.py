@@ -96,7 +96,7 @@ class TestBoundedLattice:
                 )
             assert np.concatenate(blocks, axis=1).T.tolist() == expected
 
-    def test_block_size_does_not_change_the_result(self, monkeypatch):
+    def test_grid_block_size_does_not_change_the_minimum(self, monkeypatch):
         for m, resolution in ((3, 60), (9, 6)):
             spec = GridSpec(resolution)
             default = grid_search(m, spec)
