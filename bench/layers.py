@@ -30,7 +30,6 @@ import numpy as np
 
 import surprisemax
 from surprisemax import (
-    AscentConfig,
     GridSpec,
     SimulationConfig,
     ascent_optimize,
@@ -163,7 +162,7 @@ def measure() -> dict:
         "gradient_sm2": _layer("m", [(m, lambda p=p: gradient_sm2(p)) for m, p in vectors.items()]),
         "_scored_9_rows": _layer("m", [(m, lambda p=p: scored(p)) for m, p in block.items()]),
         "ascent_optimize": _layer(
-            "m", [(m, lambda m=m: ascent_optimize(m, AscentConfig())) for m in (90, 2000)]
+            "m", [(m, lambda m=m: ascent_optimize(m)) for m in (90, 2000)]
         ),
         # sized by the points scanned: 10,001 at m = 2 and 501,501 at m = 3
         "grid_search": _layer(

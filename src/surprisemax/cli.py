@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from .objective import as_probability_vector, gradient_sm2, objective_values, tail_masses
-from .oracles import AscentConfig, GridSpec, ascent_optimize, grid_search
+from .oracles import GridSpec, ascent_optimize, grid_search
 from .oracles import _check_grid_points, _check_tolerance
 from .rng import _check_seed
 from .simulate import SimulationConfig, estimate_expected_surprise
@@ -179,17 +179,17 @@ def load_distribution(path: str) -> np.ndarray:
     reads stdin.  Any failure raises with the offending line or element
     named.
     """
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise _ParseFailure(f"cannot read {path}: {exc.strerror or exc}")
-        except UnicodeDecodeError as exc:
-            # read() decodes the whole file at once, so ``start`` counts from its first byte
-            raise _ParseFailure(f"{path}: not UTF-8 at byte offset {exc.start}: {exc.reason}")
+    except OSError as exc:
+        raise _ParseFailure(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole input at once, so ``start`` counts from its first byte
+        raise _ParseFailure(f"{path}: not UTF-8 at byte offset {exc.start}: {exc.reason}")
     stripped = text.strip()
     if not stripped:
         raise _ParseFailure(f"{path}: empty input")
@@ -490,7 +490,7 @@ def _verify_checks(m: int, seed: int, tol: float, grid: GridSpec | None):
     ``grid``, if given, replaces the default grid of the scan.
     """
     result = rollout(m)
-    report = ascent_optimize(m, AscentConfig(seed=seed), tol)
+    report = ascent_optimize(m, seed, tol)
     yield "ascent-linf", report.linf_gap, tol
     yield "ascent-objective", abs(report.best_value - result.value_at_root), _OBJECTIVE_TOL
     if m in _GRID_RESOLUTIONS:

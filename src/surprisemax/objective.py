@@ -22,6 +22,7 @@ exactly as given, never renormalized.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,13 @@ def _check_integer(value, message: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(message.format(value))
     return int(value)
+
+
+def _check_real(value, name: str) -> float:
+    """``value`` as a ``float``; a bool or anything but a real number raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _tails(p: np.ndarray, columns: bool = False) -> np.ndarray:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .objective import (
     _check_integer,
+    _check_real,
     _gradient,
     _interior,
     _scored,
@@ -37,7 +38,6 @@ from .solver import _check_days, rollout
 __all__ = [
     "GRID_POINT_CAP",
     "GridSpec",
-    "AscentConfig",
     "OracleReport",
     "grid_search",
     "ascent_optimize",
@@ -54,6 +54,18 @@ GRID_POINT_CAP = 100_000_000
 # block of all nine starts was slower from m = 2000 on.
 _BLOCK_ENTRIES = 8192
 
+# The ascent's tuning, module globals so tests can patch them.  Drawn
+# starts beside the uniform one: sm2 is convex, so every run should end at
+# its one minimum, and a run that does not shows a fault in the search.
+_RESTARTS = 8
+# Where each run's line search starts, and starts again after a taken step.
+_STEP_SIZE = 0.5
+# A taken step that moves no entry by this much ends a run: an absolute
+# step, far below the default agreement tolerance of 1e-6.
+_CONVERGENCE_TOL = 1e-12
+# A cap on taken steps, so a run that neither settles nor stalls still ends.
+_MAX_ITERATIONS = 100_000
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -66,26 +78,6 @@ class GridSpec:
             raise ValueError(f"resolution must be at least 2, got {self.resolution}")
 
 
-@dataclass(frozen=True)
-class AscentConfig:
-    """Knobs for the multiplicative-weights ascent."""
-
-    max_iterations: int = 100_000
-    step_size: float = 0.5
-    restarts: int = 8
-    convergence_tol: float = 1e-12
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if _check_integer(self.max_iterations, "max_iterations must be an integer, got {!r}") < 1:
-            raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
-        for name in ("step_size", "convergence_tol"):
-            object.__setattr__(self, name, _check_tolerance(getattr(self, name), name))
-        if _check_integer(self.restarts, "restarts must be an integer, got {!r}") < 0:
-            raise ValueError(f"restarts must be nonnegative, got {self.restarts}")
-        _check_seed(self.seed)
-
-
 @dataclass(frozen=True, eq=False)
 class OracleReport:
     """What an oracle found, next to the closed form it was checking.
@@ -94,10 +86,10 @@ class OracleReport:
     exactly when ``linf_gap <= tolerance``.  ``converged`` is the search's
     own stop rule, not a statement about the gap.  A grid scan always sets
     it.  For the ascent it holds exactly when the winning run ended on a step
-    that moved no coordinate by ``convergence_tol``.  A winning run that
+    that moved no coordinate by ``_CONVERGENCE_TOL``.  A winning run that
     ended because its line search stalled (step size below ``1e-18``) or
-    because it took ``max_iterations`` steps reports ``False``, even when its
-    point is the optimum to within ``tolerance``.
+    because it took ``_MAX_ITERATIONS`` steps reports ``False``, even when
+    its point is the optimum to within ``tolerance``.
     """
 
     best_point: np.ndarray
@@ -109,8 +101,8 @@ class OracleReport:
 
 
 def _check_tolerance(value, name: str = "tolerance") -> float:
-    """``value`` as a ``float``; anything but a positive, finite number raises."""
-    value = float(value)
+    """``value`` as a ``float``; anything but a positive, finite real number raises."""
+    value = _check_real(value, name)
     if not value > 0.0:
         raise ValueError(f"{name} must be positive, got {value}")
     if value == math.inf:
@@ -205,17 +197,16 @@ def _check_grid_points(m: int, resolution: int) -> None:
         raise ValueError(f"grid has {count} points, above the cap of {GRID_POINT_CAP}")
 
 
-def grid_search(m, spec: GridSpec, tolerance: float | None = None) -> OracleReport:
+def grid_search(m, spec: GridSpec) -> OracleReport:
     """Scan every lattice point ``k/N`` of the simplex for the best score.
 
     Deterministic: points are visited in lexicographic order and ties keep
     the earliest point, so the result does not depend on blocking; each
     point scores the bits ``eval_sm2_batch`` gives it as a row.  The
-    default agreement tolerance is two lattice steps, ``2 / N``.
+    agreement tolerance is two lattice steps, ``2 / N``.
     """
     m = _check_days(m)
     n = spec.resolution
-    tol = 2.0 / n if tolerance is None else _check_tolerance(tolerance)
     _check_grid_points(m, n)
 
     best_value: float | None = None
@@ -231,7 +222,7 @@ def grid_search(m, spec: GridSpec, tolerance: float | None = None) -> OracleRepo
                 best_point = block[:, i].copy()
 
     assert best_point is not None and best_value is not None
-    return _report(rollout(m).p, best_point, best_value, tol)
+    return _report(rollout(m).p, best_point, best_value, 2.0 / n)
 
 
 def _simplex_draw(rng: SplitMix64, m: int) -> np.ndarray:
@@ -256,19 +247,19 @@ def _gathered(chosen: list, count: int):
     return slice(None) if len(chosen) == count else np.array(chosen)
 
 
-def _ascend(starts: np.ndarray, config: AscentConfig):
+def _ascend(starts: np.ndarray):
     """Run a multiplicative-weights ascent of expected surprise from each row.
 
     Update: ``p <- normalize(p * exp(-eta * g))`` with ``g`` the gradient of
-    the reduced score, so the move is uphill for ``-sm2``.  The step halves
-    while it would lower the objective; a step that changes no coordinate by
-    ``convergence_tol`` or more ends the run.  Returns each row's endpoint,
-    its ``-sm2`` and whether it converged.
+    the reduced score, so the move is uphill for ``-sm2``.  The step starts
+    at ``_STEP_SIZE`` and halves while it would lower the objective; a step
+    that changes no coordinate by ``_CONVERGENCE_TOL`` or more ends the run.
+    Returns each row's endpoint, its ``-sm2`` and whether it converged.
 
     The live runs move as one ``(runs, m)`` array, one candidate per run per
     pass, each at its own iterate, step size and step count.  A run leaves
     the array when it converges, stalls (``eta < 1e-18`` and still lower) or
-    takes ``max_iterations`` steps.  Every operation acts along rows, so each
+    takes ``_MAX_ITERATIONS`` steps.  Every operation acts along rows, so each
     run has the bits it would have alone.  Each run's step size, step count
     and score are Python floats, and its move is decided in a short loop;
     the settle test, the copy and the next gradient then act on the runs that
@@ -285,7 +276,7 @@ def _ascend(starts: np.ndarray, config: AscentConfig):
             gradient_sm2(row)
     count = len(starts)
     runs = list(range(count))
-    eta = [config.step_size] * count
+    eta = [_STEP_SIZE] * count
     steps = [0] * count
     points, values, converged = np.empty_like(starts), np.empty(count), np.zeros(count, bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -309,7 +300,7 @@ def _ascend(starts: np.ndarray, config: AscentConfig):
                 rows = _gathered(moved, len(runs))
                 taken = q[rows]
                 gaps = np.maximum.reduce(np.abs(taken - p[rows]), axis=1)
-                settled = dict(zip(moved, (gaps < config.convergence_tol).tolist()))
+                settled = dict(zip(moved, (gaps < _CONVERGENCE_TOL).tolist()))
                 if len(moved) == len(runs):
                     p = q
                 else:
@@ -319,8 +310,8 @@ def _ascend(starts: np.ndarray, config: AscentConfig):
                 if i in settled:
                     steps[i] += 1
                     score[i] = candidate[i]
-                    eta[i] = config.step_size
-                    if settled[i] or steps[i] >= config.max_iterations:
+                    eta[i] = _STEP_SIZE
+                    if settled[i] or steps[i] >= _MAX_ITERATIONS:
                         ends[i] = settled[i]
                     else:
                         walk.append(i)
@@ -359,29 +350,28 @@ def _best_run(values: np.ndarray) -> int | None:
     return best
 
 
-def ascent_optimize(m, config: AscentConfig | None = None, tolerance: float = 1e-6) -> OracleReport:
+def ascent_optimize(m, seed: int = 0, tolerance: float = 1e-6) -> OracleReport:
     """Maximize expected surprise by multiplicative weights, with restarts.
 
-    Runs once from the uniform schedule and once from each of
-    ``config.restarts`` random interior starts; restart ``i`` draws its start
-    from a generator seeded with ``(seed + i) mod 2**64``.  The best endpoint
-    by achieved objective wins, earliest run winning ties.  Non-convergence
-    shows up as ``converged=False`` (and normally a failing gap), never as an
-    exception.  The starts run as row blocks of at most ``_BLOCK_ENTRIES``
-    entries; each start ends on the same bits in any block.
+    Runs once from the uniform schedule and once from each of ``_RESTARTS``
+    random interior starts; restart ``i`` draws its start from a generator
+    seeded with ``(seed + i) mod 2**64``.  The best endpoint by achieved
+    objective wins, earliest run winning ties.  Non-convergence shows up as
+    ``converged=False`` (and normally a failing gap), never as an exception.
+    The starts run as row blocks of at most ``_BLOCK_ENTRIES`` entries; each
+    start ends on the same bits in any block.
     """
     m = _check_days(m)
     tolerance = _check_tolerance(tolerance)
-    if config is None:
-        config = AscentConfig()
+    seed = _check_seed(seed)
 
-    starts = np.empty((config.restarts + 1, m))
+    starts = np.empty((_RESTARTS + 1, m))
     starts[0] = 1.0 / m
-    for i in range(1, config.restarts + 1):
-        starts[i] = _simplex_draw(SplitMix64((config.seed + i) & _MASK64), m)
+    for i in range(1, _RESTARTS + 1):
+        starts[i] = _simplex_draw(SplitMix64((seed + i) & _MASK64), m)
 
     blocks = -(-len(starts) // max(1, _BLOCK_ENTRIES // m))
-    ends = [_ascend(block, config) for block in np.array_split(starts, blocks)]
+    ends = [_ascend(block) for block in np.array_split(starts, blocks)]
     points, values, converged = (np.concatenate(parts) for parts in zip(*ends))
     best = _best_run(values)
     assert best is not None
@@ -397,7 +387,7 @@ def finite_diff_gradient(p, h: float = 1e-6) -> np.ndarray:
     ``p_j - h`` must stay inside (0, 1).
     """
     v = as_probability_vector(p)
-    h = float(h)
+    h = _check_real(h, "step")
     if not h > 0.0:
         raise ValueError(f"step {h!r} must be positive")
     if np.any(v - h <= 0.0) or np.any(v + h >= 1.0):

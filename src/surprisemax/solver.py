@@ -48,7 +48,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .objective import ObjectiveValue, _check_integer, objective_values
+from .objective import ObjectiveValue, _check_integer, _check_real, objective_values
 
 __all__ = [
     "GammaSequence",
@@ -180,7 +180,7 @@ def _check_day_index(j, m: int, upper: int) -> int:
 
 
 def _check_remaining(r) -> float:
-    r = float(r)
+    r = _check_real(r, "remaining mass")
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"remaining mass {r!r} out of range [0, 1]")
     return r
@@ -191,7 +191,7 @@ def _check_step(j, r, gamma: GammaSequence) -> tuple[int, float]:
     if gamma.m < 2:
         raise ValueError("one-step recursion needs a horizon of at least 2 days")
     j = _check_day_index(j, gamma.m, gamma.m - 1)
-    r = float(r)
+    r = _check_real(r, "remaining mass")
     if not 0.0 < r <= 1.0:
         raise ValueError(f"remaining mass {r!r} out of range (0, 1]")
     return j, r
@@ -226,7 +226,7 @@ def bellman_rhs(j, r, x, gamma: GammaSequence) -> float:
     ``0 <= x <= r``.
     """
     j, r = _check_step(j, r, gamma)
-    x = float(x)
+    x = _check_real(x, "allocation")
     if not 0.0 <= x <= r:
         raise ValueError(f"allocation {x!r} out of range [0, {r!r}]")
     stage = 0.0 if x == 0.0 else x * (math.log(x) - math.log(r))

@@ -14,7 +14,6 @@ import time
 import numpy as np
 
 from surprisemax import (
-    AscentConfig,
     GridSpec,
     ascent_optimize,
     bellman_rhs,

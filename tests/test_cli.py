@@ -256,6 +256,33 @@ class TestEval:
             f"surprisemax: error: {path}: not UTF-8 at byte offset {offset}: invalid start byte\n"
         )
 
+    STDIN_NOT_UTF8 = "surprisemax: error: -: not UTF-8 at byte offset 10: invalid start byte\n"
+
+    def test_stdin_not_utf8_is_parse_error(self, capsys, monkeypatch):
+        # a strict UTF-8 stdin, as under a UTF-8 locale or PYTHONIOENCODING=utf-8
+        stdin = io.TextIOWrapper(io.BytesIO(b"[0.5, 0.5]\xff"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert run_main(capsys, "eval", "--input", "-") == (3, "", self.STDIN_NOT_UTF8)
+
+    def test_stdin_not_utf8_in_a_process(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "surprisemax", "eval", "--input", "-"],
+            input=b"[0.5, 0.5]\xff",
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+        )
+        assert (proc.returncode, proc.stdout) == (3, b"")
+        assert proc.stderr.decode() == self.STDIN_NOT_UTF8
+
+    def test_unreadable_stdin_is_parse_error(self, capsys, monkeypatch):
+        class Directory:
+            def read(self):
+                raise IsADirectoryError(21, "Is a directory")
+
+        monkeypatch.setattr(sys, "stdin", Directory())
+        code, out, err = run_main(capsys, "eval", "--input", "-")
+        assert (code, out, err) == (3, "", "surprisemax: error: cannot read -: Is a directory\n")
+
     @settings(max_examples=25, deadline=None)
     @given(
         st.integers(1, 300),

@@ -10,7 +10,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from surprisemax import (
-    AscentConfig,
     GridSpec,
     SplitMix64,
     ascent_optimize,
@@ -239,63 +238,38 @@ class TestAscent:
         assert ascent_optimize(2).linf_gap <= 1e-8
 
     def test_deterministic_for_fixed_seed(self):
-        a = ascent_optimize(4, AscentConfig(seed=5))
-        b = ascent_optimize(4, AscentConfig(seed=5))
+        a = ascent_optimize(4, seed=5)
+        b = ascent_optimize(4, seed=5)
         assert np.array_equal(a.best_point, b.best_point)
         assert a.best_value == b.best_value
 
     def test_other_seeds_still_agree(self):
         for seed in (1, 99, 2**63):
-            assert ascent_optimize(3, AscentConfig(seed=seed)).linf_gap <= 1e-6
+            assert ascent_optimize(3, seed=seed).linf_gap <= 1e-6
 
-    def test_uniform_start_alone_suffices(self):
-        report = ascent_optimize(5, AscentConfig(restarts=0))
+    def test_uniform_start_alone_suffices(self, monkeypatch):
+        monkeypatch.setattr(oracles_mod, "_RESTARTS", 0)
+        report = ascent_optimize(5)
         assert report.linf_gap <= 1e-6
 
-    def test_starved_iterations_report_no_convergence(self):
-        report = ascent_optimize(6, AscentConfig(max_iterations=1), tolerance=1e-12)
+    def test_starved_iterations_report_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(oracles_mod, "_MAX_ITERATIONS", 1)
+        report = ascent_optimize(6, tolerance=1e-12)
         assert not report.converged
         assert not report.agrees
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="max_iterations"):
-            AscentConfig(max_iterations=0)
-        with pytest.raises(ValueError, match="step_size must be positive"):
-            AscentConfig(step_size=0.0)
-        with pytest.raises(ValueError, match="step_size must be finite"):
-            AscentConfig(step_size=math.inf)
-        with pytest.raises(ValueError, match="restarts"):
-            AscentConfig(restarts=-1)
-        with pytest.raises(ValueError, match="convergence_tol must be positive"):
-            AscentConfig(convergence_tol=0.0)
-        with pytest.raises(ValueError, match="convergence_tol must be finite"):
-            AscentConfig(convergence_tol=math.inf)
-        # the checked values are the ones the config keeps
-        kept = AscentConfig(step_size=1, convergence_tol=np.float64(1e-9))
-        assert type(kept.step_size) is float and type(kept.convergence_tol) is float
-        with pytest.raises(ValueError, match="seed"):
-            AscentConfig(seed=-1)
-        with pytest.raises(ValueError, match="seed 2.7 is not an unsigned 64-bit integer"):
-            AscentConfig(seed=2.7)
-        with pytest.raises(ValueError, match="seed True is not an unsigned 64-bit integer"):
-            AscentConfig(seed=True)
-        with pytest.raises(ValueError, match="max_iterations must be an integer, got 2.5"):
-            AscentConfig(max_iterations=2.5)
-        with pytest.raises(ValueError, match="max_iterations must be an integer, got True"):
-            AscentConfig(max_iterations=True)
-        with pytest.raises(ValueError, match="restarts must be an integer, got 2.5"):
-            AscentConfig(restarts=2.5)
-        with pytest.raises(ValueError, match="restarts must be an integer, got True"):
-            AscentConfig(restarts=True)
-        config = AscentConfig(max_iterations=np.int64(3), restarts=np.int64(1))
-        assert ascent_optimize(2, config).best_point.size == 2
+    def test_numpy_integer_seed_accepted(self):
+        report = ascent_optimize(4, seed=np.int64(5))
+        assert report.best_point.tobytes() == ascent_optimize(4, seed=5).best_point.tobytes()
 
-    def test_huge_step_size_agrees_without_warnings(self):
+    def test_huge_step_size_agrees_without_warnings(self, monkeypatch):
         # exp(-eta g) overflows at this step size until the line search has
         # halved it far enough
+        monkeypatch.setattr(oracles_mod, "_STEP_SIZE", 1e300)
+        monkeypatch.setattr(oracles_mod, "_RESTARTS", 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = ascent_optimize(5, AscentConfig(step_size=1e300, restarts=0))
+            report = ascent_optimize(5)
         assert report.agrees
 
 
@@ -331,6 +305,12 @@ class TestFiniteDiff:
             finite_diff_gradient([0.5, 0.5], 0.0)
         with pytest.raises(ValueError, match="outside"):
             finite_diff_gradient([0.5, 0.5], 0.5)
+
+    @pytest.mark.parametrize("h", [True, "0.5", None])
+    def test_step_must_be_a_real_number(self, h):
+        with pytest.raises(ValueError) as excinfo:
+            finite_diff_gradient([0.5, 0.5], h)
+        assert str(excinfo.value) == f"step must be a real number, got {h!r}"
 
 
 def replay_tails(p):
@@ -393,13 +373,16 @@ def replay_ascent(m, seed, restarts=8, max_iterations=100_000):
     return best
 
 
-def assert_runs_match_replay(m, config):
-    """Every row of the batched ascent equals its start's lone replay."""
-    starts = replay_starts(m, config.seed, config.restarts)
-    points, values, converged = oracles_mod._ascend(np.array(starts), config)
+def assert_runs_match_replay(m, seed):
+    """Every row of the batched ascent equals its start's lone replay.
+
+    The restart count and step cap are the oracle's, as patched.
+    """
+    starts = replay_starts(m, seed, oracles_mod._RESTARTS)
+    points, values, converged = oracles_mod._ascend(np.array(starts))
     assert points.shape == (len(starts), m)
     for i, start in enumerate(starts):
-        point, value, ok = replay_ascend(start, config.max_iterations)
+        point, value, ok = replay_ascend(start, oracles_mod._MAX_ITERATIONS)
         assert points[i].tobytes() == point.tobytes(), i
         assert values[i] == value, i
         assert bool(converged[i]) is ok, i
@@ -418,7 +401,7 @@ class TestAscentBits:
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 40, 200, 1000, 2003])
     def test_matches_replay(self, m, seed):
         point, value, converged = replay_ascent(m, seed)
-        report = ascent_optimize(m, AscentConfig(seed=seed))
+        report = ascent_optimize(m, seed)
         assert report.best_point.tobytes() == point.tobytes()
         assert report.best_value == -value
         assert report.converged is converged
@@ -426,15 +409,15 @@ class TestAscentBits:
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 40, 46, 49, 57, 200, 1000, 2003])
     def test_every_run_matches_its_replay(self, m, seed):
-        assert_runs_match_replay(m, AscentConfig(seed=seed))
+        assert_runs_match_replay(m, seed)
 
     @pytest.mark.parametrize("entries", [1, 100, 2500, 10**9])
     @pytest.mark.parametrize("m", [40, 1000])
     def test_blocks_do_not_change_the_result(self, monkeypatch, m, entries):
         # one start per block, two or a few, or all nine in one block
-        default = ascent_optimize(m, AscentConfig(seed=7))
+        default = ascent_optimize(m, seed=7)
         monkeypatch.setattr(oracles_mod, "_BLOCK_ENTRIES", entries)
-        report = ascent_optimize(m, AscentConfig(seed=7))
+        report = ascent_optimize(m, seed=7)
         assert report.best_point.tobytes() == default.best_point.tobytes()
         assert report.best_value == default.best_value
         assert report.converged is default.converged
@@ -442,18 +425,19 @@ class TestAscentBits:
     def test_stalled_runs_covered(self):
         # runs that stall at float resolution leave the batch early and
         # must still end where their lone replay ends
-        converged = assert_runs_match_replay(46, AscentConfig())
+        converged = assert_runs_match_replay(46, 0)
         assert not converged.all()
 
     @pytest.mark.parametrize(
         "restarts, max_iterations", [(0, 100_000), (8, 1), (8, 3), (2, 1)]
     )
     @pytest.mark.parametrize("m", [2, 5, 40])
-    def test_short_runs_match_replay(self, m, restarts, max_iterations):
-        config = AscentConfig(restarts=restarts, max_iterations=max_iterations, seed=7)
-        assert_runs_match_replay(m, config)
+    def test_short_runs_match_replay(self, monkeypatch, m, restarts, max_iterations):
+        monkeypatch.setattr(oracles_mod, "_RESTARTS", restarts)
+        monkeypatch.setattr(oracles_mod, "_MAX_ITERATIONS", max_iterations)
+        assert_runs_match_replay(m, 7)
         point, value, converged = replay_ascent(m, 7, restarts, max_iterations)
-        report = ascent_optimize(m, config)
+        report = ascent_optimize(m, seed=7)
         assert report.best_point.tobytes() == point.tobytes()
         assert report.best_value == -value
         assert report.converged is converged
@@ -486,7 +470,7 @@ class TestAscendValidation:
     )
     def test_bad_start_raises(self, start, message):
         with pytest.raises(ValueError) as excinfo:
-            oracles_mod._ascend(np.array([start]), AscentConfig())
+            oracles_mod._ascend(np.array([start]))
         assert str(excinfo.value) == message
 
     def test_accepted_candidate_with_a_zero_entry_raises(self, monkeypatch):
@@ -500,10 +484,11 @@ class TestAscendValidation:
             return gradient_sm2(p)
 
         monkeypatch.setattr(oracles_mod, "gradient_sm2", spy)
+        monkeypatch.setattr(oracles_mod, "_STEP_SIZE", 20.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as excinfo:
-                oracles_mod._ascend(start[None, :], AscentConfig(step_size=20.0))
+                oracles_mod._ascend(start[None, :])
         assert str(excinfo.value) == "gradient needs every entry strictly positive"
         # the start passes the block check, so only the iterate is checked
         assert len(checked) == 1 and checked[0].min() == 0.0
@@ -541,7 +526,7 @@ class TestBlockStartCheck:
         starts = np.array(replay_starts(5, 3))
         starts[position] = _bad_row(kind, starts[position], position)
         with pytest.raises(ValueError) as excinfo:
-            oracles_mod._ascend(starts, AscentConfig())
+            oracles_mod._ascend(starts)
         assert str(excinfo.value) == self.expected_message(starts[position])
 
     @pytest.mark.parametrize("first, second", itertools.permutations(KINDS, 2))
@@ -551,7 +536,7 @@ class TestBlockStartCheck:
         for kind, i in zip((first, second), positions):
             starts[i] = _bad_row(kind, starts[i], i)
         with pytest.raises(ValueError) as excinfo:
-            oracles_mod._ascend(starts, AscentConfig())
+            oracles_mod._ascend(starts)
         assert str(excinfo.value) == self.expected_message(starts[positions[0]])
 
     @pytest.mark.parametrize("m", [2, 9, 130, 1000])
@@ -580,7 +565,14 @@ class TestBlockStartCheck:
 
 
 class TestTolerance:
-    """Both oracles refuse a tolerance that is not positive and finite, before any work."""
+    """The ascent refuses a bad tolerance or seed before any work; the grid's is ``2 / N``."""
+
+    @staticmethod
+    def no_work(monkeypatch):
+        work = []
+        monkeypatch.setattr(oracles_mod, "_simplex_draw", lambda *args: work.append(args))
+        monkeypatch.setattr(oracles_mod, "_ascend", lambda *args: work.append(args))
+        return work
 
     @pytest.mark.parametrize(
         "tolerance, message",
@@ -590,24 +582,44 @@ class TestTolerance:
             (math.nan, "tolerance must be positive, got nan"),
             # an infinite tolerance would let every search agree
             (math.inf, "tolerance must be finite, got inf"),
+            (True, "tolerance must be a real number, got True"),
+            ("0.5", "tolerance must be a real number, got '0.5'"),
+            (None, "tolerance must be a real number, got None"),
         ],
     )
     def test_refused_before_any_work(self, monkeypatch, tolerance, message):
-        work = []
-        monkeypatch.setattr(oracles_mod, "_compositions", lambda *args: work.append(args))
-        monkeypatch.setattr(oracles_mod, "_ascend", lambda *args: work.append(args))
-        for search in (
-            lambda: grid_search(2, GridSpec(10), tolerance),
-            lambda: ascent_optimize(5, AscentConfig(max_iterations=1), tolerance),
-        ):
-            with pytest.raises(ValueError) as excinfo:
-                search()
-            assert str(excinfo.value) == message
+        work = self.no_work(monkeypatch)
+        with pytest.raises(ValueError) as excinfo:
+            ascent_optimize(5, tolerance=tolerance)
+        assert str(excinfo.value) == message
+        assert work == []
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (-1, "seed -1 is not an unsigned 64-bit integer"),
+            (2**64, "seed 18446744073709551616 is not an unsigned 64-bit integer"),
+            (2.7, "seed 2.7 is not an unsigned 64-bit integer"),
+            (True, "seed True is not an unsigned 64-bit integer"),
+        ],
+    )
+    def test_seed_refused_before_any_work(self, monkeypatch, seed, message):
+        work = self.no_work(monkeypatch)
+        with pytest.raises(ValueError) as excinfo:
+            ascent_optimize(5, seed=seed)
+        assert str(excinfo.value) == message
+        assert work == []
+
+    def test_days_then_tolerance_then_seed(self, monkeypatch):
+        work = self.no_work(monkeypatch)
+        with pytest.raises(ValueError, match="number of days must be at least 1"):
+            ascent_optimize(0, seed=-1, tolerance=0.0)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            ascent_optimize(5, seed=-1, tolerance=0.0)
         assert work == []
 
     def test_grid_default_is_two_lattice_steps(self):
         assert grid_search(2, GridSpec(8)).tolerance == 0.25
-        assert grid_search(2, GridSpec(8), 1e-3).tolerance == 1e-3
 
 
 class TestSimplexDraw:

@@ -8,7 +8,6 @@ import surprisemax
 from surprisemax import cli
 
 PACKAGE_NAMES = [
-    "AscentConfig",
     "GRID_POINT_CAP",
     "GammaSequence",
     "GridSpec",

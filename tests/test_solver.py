@@ -256,6 +256,32 @@ class TestBellman:
             bellman_rhs(1, 0.5, 0.1, gamma_sequence(1))
 
 
+class TestRealArguments:
+    """A remaining mass or an allocation is a real number: not a bool, a string or None."""
+
+    CALLS = {
+        "policy_single r": (lambda v, g: policy_single(1, v, g), "remaining mass"),
+        "value_v r": (lambda v, g: value_v(1, v, g), "remaining mass"),
+        "bellman_rhs r": (lambda v, g: bellman_rhs(1, v, 0.0, g), "remaining mass"),
+        "bellman_rhs x": (lambda v, g: bellman_rhs(1, 1.0, v, g), "allocation"),
+        "stationarity_residual r": (lambda v, g: stationarity_residual(1, v, g), "remaining mass"),
+    }
+
+    @pytest.mark.parametrize("value", [True, "0.5", None])
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_refused(self, call, value):
+        run, name = self.CALLS[call]
+        with pytest.raises(ValueError) as excinfo:
+            run(value, gamma_sequence(3))
+        assert str(excinfo.value) == f"{name} must be a real number, got {value!r}"
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_ints_and_numpy_floats_read_as_floats(self, call):
+        run, _ = self.CALLS[call]
+        g = gamma_sequence(3)
+        assert run(1, g) == run(np.float64(1.0), g) == run(1.0, g)
+
+
 class TestStationarity:
     def test_zero_at_next_to_last_day(self):
         g = gamma_sequence(2)
